@@ -40,6 +40,7 @@ from .scanner import (
 from .series import ModulusMismatchError, PrecisionError
 from .tate import (
     METHOD_HEURISTIC,
+    TATE_CYCLE_CAP,
     CongruenceReport,
     heuristic_simple_congruences,
     tate_cycle,
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tate-cycle", help="filtration profile of the theta iterates")
     _spec_arguments(p)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--cap", type=int, default=53, help="largest prime profiled")
+    p.add_argument("--cap", type=int, default=TATE_CYCLE_CAP, help="largest prime profiled")
 
     p = sub.add_parser("find-congruences", help="residues c with a(ell n + c) = 0 mod ell")
     _spec_arguments(p)
@@ -108,14 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--heuristic", action="store_true",
                       help="window scan of the expansion instead")
     p.add_argument("--window", type=int, default=None,
-                   help="window for the heuristic and vanishing checks")
+                   help="terms scanned by --heuristic (default max(50*ell, 100))")
 
     p = sub.add_parser("verify-theorem", help="sweep all primes up to the bound")
     _spec_arguments(p)
     p.add_argument("--remark", action="store_true", help="use the sharper bound")
     p.add_argument("--sample-above", type=int, default=3, metavar="K",
                    help="primes above the bound to test for consistency")
-    p.add_argument("--window", type=int, default=None)
     p.add_argument("--no-cache", action="store_true", help="do not read or write records")
 
     p = sub.add_parser("verify-table", help="check the Berndt and Yee congruence table")
@@ -254,8 +254,7 @@ def _cmd_find_congruences(args) -> int:
         report = CongruenceReport(spec, ell, METHOD_HEURISTIC, residues,
                                   weight=None, precision=window)
     else:
-        window = args.window or 500
-        report = scan_prime(spec, ell, window=window, precision=args.precision)
+        report = scan_prime(spec, ell, precision=args.precision)
     record = report_to_record(report, bound=theorem_bound(spec))
     lines = [
         f"{spec} mod {ell}: method={report.method}",
@@ -272,7 +271,6 @@ def _cmd_verify_theorem(args) -> int:
         spec,
         use_remark=args.remark,
         sample_above=args.sample_above,
-        window=args.window or 500,
         precision=args.precision,
         cache=cache,
         jobs=args.jobs,

@@ -156,31 +156,6 @@ class IsobaricPolynomial:
         return " + ".join(parts)
 
 
-def _match_series(
-    target: TruncatedSeries, weight: int, ell: int
-) -> IsobaricPolynomial | None:
-    """Solve for an isobaric polynomial of the given weight matching the target.
-
-    Matching runs through coefficient index floor(weight/12); the target
-    must be the reduction of a weight-`weight` form for the match to
-    certify identity.
-    """
-    s = sturm(weight)
-    if target.precision < s + 1:
-        raise PrecisionError(
-            f"matching at weight {weight} needs precision {s + 1}, "
-            f"have {target.precision}"
-        )
-    basis = monomial_basis(weight, ell, s + 1)
-    matrix = [[series.coefficient(n) for _, series in basis] for n in range(s + 1)]
-    rhs = [target.coefficient(n) for n in range(s + 1)]
-    sol = solve_mod_prime(matrix, rhs, ell)
-    if sol is None:
-        return None
-    coefficients = {pair: c for (pair, _), c in zip(basis, sol)}
-    return IsobaricPolynomial.from_coefficients(ell, weight, coefficients)
-
-
 def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None:
     """Write the form as a weight-`weight` polynomial in E4, E6 mod ell, if possible.
 
@@ -250,7 +225,7 @@ def compute_a_tilde(ell: int) -> IsobaricPolynomial:
     if ell < 5 or not isprime(ell):
         raise ValueError(f"ell must be a prime at least 5, got {ell}")
     target = TruncatedSeries.one(ell, sturm(ell - 1) + 1)
-    poly = _match_series(target, ell - 1, ell)
+    poly = represent(ModularFormModEll(ell, ell - 1, target), ell - 1)
     if poly is None:
         raise RuntimeError(f"no weight-{ell - 1} expression of 1 mod {ell} found")
     return poly
@@ -261,7 +236,7 @@ def compute_b_tilde(ell: int) -> IsobaricPolynomial:
     if ell < 5 or not isprime(ell):
         raise ValueError(f"ell must be a prime at least 5, got {ell}")
     target = eisenstein_series(2, ell, sturm(ell + 1) + 1)
-    poly = _match_series(target, ell + 1, ell)
+    poly = represent(ModularFormModEll(ell, ell + 1, target), ell + 1)
     if poly is None:
         raise RuntimeError(f"no weight-{ell + 1} expression of E2 mod {ell} found")
     return poly

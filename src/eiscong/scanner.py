@@ -24,9 +24,9 @@ from .eisenstein import (
     QuotientSpec,
     eisenstein_power_product,
     lift_weight,
-    replacement_lift,
+    quotient_series,
 )
-from .filtration import ModularFormModEll, sturm
+from .filtration import sturm
 from .series import PrecisionError
 from .tate import (
     METHOD_BELOW_BOUND,
@@ -35,7 +35,7 @@ from .tate import (
     METHOD_TRIVIAL_PRIME,
     THETA_WINDOW_DEFAULT,
     CongruenceReport,
-    certified_residues,
+    congruence_scan,
     theta_vanishes,
     theta_zero_congruences_hold,
 )
@@ -99,19 +99,20 @@ def profile_precision(spec: QuotientSpec, ell: int) -> int:
 
 
 def scan_prime(
-    spec: QuotientSpec,
-    ell: int,
-    window: int = THETA_WINDOW_DEFAULT,
-    precision: int | None = None,
+    spec: QuotientSpec, ell: int, precision: int | None = None
 ) -> CongruenceReport:
     """Full congruence analysis of one prime.
 
     Primes 2 and 3 are trivial (every series involved reduces to 1) and
     reported without analysis.  A prime smaller than |s| or |t| admits
     no lift of the standard shape and is recorded as disposed of by
-    size.  Otherwise theta vanishing is decided rigorously on the lift,
-    and failing that, every nonzero residue is settled by the finite
-    certificate.
+    size.  Otherwise one coefficient scan of the quotient decides theta
+    vanishing and, failing that, settles every nonzero residue by the
+    finite certificate for the lift.  The scan reads the quotient in
+    place of the lift: the two differ by the unit (E4*E6)(q^ell) mod
+    ell, which maps each residue class of exponents to itself by a
+    unitriangular transform, so a class vanishes through any index on
+    one side exactly when it does on the other.
     """
     if not isprime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
@@ -126,39 +127,37 @@ def scan_prime(
         raise PrecisionError(
             f"requested precision {precision} is below the minimum {minimum} at ell={ell}"
         )
-    lifted = replacement_lift(spec, ell, precision)
-    window_zero = theta_vanishes(spec, ell, window)
-    theta_series = lifted.series.theta()
-    s0 = sturm(lifted.weight + ell + 1)
-    certified_zero = all(theta_series.coefficient(n) == 0 for n in range(s0 + 1))
-    if window_zero != certified_zero:
-        raise PrecisionError(
-            f"theta-vanishing window {window} disagrees with the Sturm certificate "
-            f"at ell={ell}; raise the window"
+    weight = lift_weight(spec, ell)
+    theta_kills, residues = congruence_scan(
+        quotient_series(spec, ell, precision), ell, weight
+    )
+    if not theta_kills:
+        return CongruenceReport(
+            spec, ell, METHOD_RIGOROUS, residues, weight=weight, precision=precision
         )
-    if certified_zero and ell >= 17 and not theta_zero_congruences_hold(spec, ell):
+    if not theta_vanishes(spec, ell):
+        raise PrecisionError(
+            f"theta-vanishing window {THETA_WINDOW_DEFAULT} disagrees with the Sturm "
+            f"certificate at ell={ell}"
+        )
+    if ell >= 17 and not theta_zero_congruences_hold(spec, ell):
         raise PrecisionError(
             f"theta image vanishes through precision at ell={ell} but the coefficient "
             "system forbids it; raise the precision"
         )
-    if certified_zero:
-        return CongruenceReport(
-            spec,
-            ell,
-            METHOD_THETA_VANISHING,
-            tuple(range(1, ell)),
-            weight=lifted.weight,
-            precision=precision,
-        )
-    residues = certified_residues(ModularFormModEll.from_lift(lifted))
     return CongruenceReport(
-        spec, ell, METHOD_RIGOROUS, residues, weight=lifted.weight, precision=precision
+        spec,
+        ell,
+        METHOD_THETA_VANISHING,
+        tuple(range(1, ell)),
+        weight=weight,
+        precision=precision,
     )
 
 
 def _scan_worker(args):
-    spec, ell, window, precision = args
-    return scan_prime(spec, ell, window, precision)
+    spec, ell, precision = args
+    return scan_prime(spec, ell, precision)
 
 
 def report_to_record(report: CongruenceReport, bound: int, version: str = __version__) -> dict:
@@ -282,7 +281,6 @@ def verify_theorem(
     spec: QuotientSpec,
     use_remark: bool = False,
     sample_above: int = 3,
-    window: int = THETA_WINDOW_DEFAULT,
     precision: int | None = None,
     cache: ResultsCache | None = None,
     jobs: int = 1,
@@ -315,12 +313,12 @@ def verify_theorem(
     missing = [ell for ell in targets if ell not in reports]
     if jobs > 1 and len(missing) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            jobs_args = [(spec, ell, window, precision) for ell in missing]
+            jobs_args = [(spec, ell, precision) for ell in missing]
             for ell, report in zip(missing, pool.map(_scan_worker, jobs_args)):
                 reports[ell] = report
     else:
         for ell in missing:
-            reports[ell] = scan_prime(spec, ell, window, precision)
+            reports[ell] = scan_prime(spec, ell, precision)
     identity = (spec.r, spec.s, spec.t) == (0, 0, 0)
     if not identity:
         for ell in above:

@@ -2,10 +2,13 @@
 
 A series f = sum a(n) q^n has a simple congruence at c mod ell when
 a(ell*n + c) vanishes mod ell for every n.  For a genuine modular form
-with nonzero theta image this is decidable by a finite criterion: the
-congruence holds at c not divisible by ell exactly when applying theta
-(ell+1)/2 times gives -(c|ell) times the single theta image, an
-identity of modular forms checked through its Sturm window.
+of weight k with nonzero theta image this is decidable by a finite
+criterion: the congruence holds at c not divisible by ell exactly when
+applying theta (ell+1)/2 times gives -(c|ell) times the single theta
+image.  That identity multiplies a(n) by n*(n|ell) on the left, so it
+amounts to a(n) = 0 for every n prime to ell in the quadratic class of
+c, through the Sturm index floor((k + (ell+1)^2/2)/12): one scan of
+the coefficients, with no theta applied.
 """
 
 from __future__ import annotations
@@ -154,33 +157,53 @@ def tate_cycle(form: ModularFormModEll, cap: int = TATE_CYCLE_CAP) -> TateCycleP
     )
 
 
-def _congruence_class_flags(form: ModularFormModEll) -> tuple[bool, bool, int]:
-    """Whether residues of each quadratic class carry a congruence, plus the window.
+def congruence_scan(
+    series: TruncatedSeries, ell: int, weight: int
+) -> tuple[bool, tuple[int, ...]]:
+    """Whether theta kills a weight-`weight` form mod ell, and its certified residues.
 
-    Returns (squares_flagged, nonsquares_flagged, compare_through).  The
-    two candidate identities live in weight k + (ell+1)^2/2; comparing
-    through that weight's Sturm index is a certificate because the two
-    sides differ in weight by a multiple of ell - 1.
+    theta^((ell+1)/2) multiplies a(n) by n*(n|ell), so the identity
+    theta^((ell+1)/2) f = -(c|ell) theta f in weight k + (ell+1)^2/2
+    says that a(n) vanishes for every n prime to ell, through that
+    weight's Sturm index, in the quadratic class of c.  One pass over
+    the coefficients decides both classes at once, and theta kills the
+    form when no such a(n) is nonzero through the Sturm index of
+    weight k + ell + 1.  The residues are meaningless when theta kills
+    the form.
     """
-    ell = form.prime
-    s = sturm(form.weight + (ell + 1) ** 2 // 2)
-    if form.precision < s + 1:
+    s = sturm(weight + (ell + 1) ** 2 // 2)
+    if series.precision < s + 1:
         raise PrecisionError(
             f"the congruence certificate at ell={ell} needs precision {s + 1}, "
-            f"have {form.precision}"
+            f"have {series.precision}"
         )
-    once = form.series.theta()
-    if all(once.coefficient(n) == 0 for n in range(sturm(form.weight + ell + 1) + 1)):
+    s0 = sturm(weight + ell + 1)
+    is_square = [False] * ell
+    for x in range(1, ell):
+        is_square[x * x % ell] = True
+    theta_kills = True
+    # quadratic classes (is_square of the residue) holding a nonzero a(n)
+    occupied = set()
+    head = series.coeffs[: max(s + 1 - series.valuation, 0)]
+    for n, a in enumerate(head, start=series.valuation):
+        if a and n % ell:
+            theta_kills = theta_kills and n > s0
+            occupied.add(is_square[n % ell])
+            if len(occupied) == 2:
+                break
+    residues = tuple(c for c in range(1, ell) if is_square[c] not in occupied)
+    return theta_kills, residues
+
+
+def certified_residues(form: ModularFormModEll) -> tuple[int, ...]:
+    """All nonzero residues with a certified simple congruence, sorted."""
+    theta_kills, residues = congruence_scan(form.series, form.prime, form.weight)
+    if theta_kills:
         raise ValueError(
             "theta kills this form; every nonzero residue carries a congruence "
             "and the criterion does not apply"
         )
-    half = once
-    for _ in range((ell + 1) // 2 - 1):
-        half = half.theta()
-    squares = half.agrees_with(once.neg(), through=s)
-    nonsquares = half.agrees_with(once, through=s)
-    return squares, nonsquares, s
+    return residues
 
 
 def rigorous_simple_congruence(form: ModularFormModEll, c: int) -> bool:
@@ -195,19 +218,7 @@ def rigorous_simple_congruence(form: ModularFormModEll, c: int) -> bool:
             f"c must be a nonzero residue mod {ell}; "
             "c = 0 is decided by the constant term"
         )
-    squares, nonsquares, _ = _congruence_class_flags(form)
-    return squares if legendre(c, ell) == 1 else nonsquares
-
-
-def certified_residues(form: ModularFormModEll) -> tuple[int, ...]:
-    """All nonzero residues with a certified simple congruence, sorted."""
-    ell = form.prime
-    squares, nonsquares, _ = _congruence_class_flags(form)
-    out = []
-    for c in range(1, ell):
-        if squares if legendre(c, ell) == 1 else nonsquares:
-            out.append(c)
-    return tuple(out)
+    return c in certified_residues(form)
 
 
 def heuristic_simple_congruences(series: TruncatedSeries, ell: int) -> frozenset[int]:

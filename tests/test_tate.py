@@ -1,10 +1,18 @@
 import pytest
+from sympy import primerange
 
+from eiscong import scanner
 from eiscong.eisenstein import QuotientSpec, eisenstein_series, quotient_series, replacement_lift
 from eiscong.filtration import ModularFormModEll, sturm
-from eiscong.scanner import certificate_precision, profile_precision
+from eiscong.scanner import certificate_precision, profile_precision, scan_prime, theorem_bound
 from eiscong.series import PrecisionError, TruncatedSeries
 from eiscong.tate import (
+    METHOD_BELOW_BOUND,
+    METHOD_RIGOROUS,
+    METHOD_THETA_VANISHING,
+    METHOD_TRIVIAL_PRIME,
+    THETA_WINDOW_DEFAULT,
+    CongruenceReport,
     certified_residues,
     heuristic_simple_congruences,
     legendre,
@@ -238,3 +246,84 @@ def test_candidates_include_gcd_primes_above_13():
     # every exponent divisible by 17 makes the quotient a 17th power
     got = theta_vanishing_prime_candidates(QuotientSpec(17, 17, -17), 300)
     assert 17 in got
+
+
+# ---------------------------------------------------------------------------
+# the one-scan certificate against the theta ladder on the lift
+
+
+def ladder_class_flags(form):
+    """Reference certificate: compare theta^((ell+1)/2) f with -theta f and theta f.
+
+    Returns (squares_flagged, nonsquares_flagged), or None when theta
+    kills the form through its Sturm index.
+    """
+    ell = form.prime
+    s = sturm(form.weight + (ell + 1) ** 2 // 2)
+    if form.precision < s + 1:
+        raise PrecisionError(f"the ladder at ell={ell} needs precision {s + 1}")
+    once = form.series.theta()
+    if all(once.coefficient(n) == 0 for n in range(sturm(form.weight + ell + 1) + 1)):
+        return None
+    half = once
+    for _ in range((ell + 1) // 2 - 1):
+        half = half.theta()
+    return half.agrees_with(once.neg(), through=s), half.agrees_with(once, through=s)
+
+
+def ladder_scan_prime(spec, ell):
+    """Reference scan_prime: theta ladder on the powered lift, window cross-check."""
+    if ell in (2, 3):
+        return CongruenceReport(spec, ell, METHOD_TRIVIAL_PRIME, tuple(range(1, ell)))
+    if ell + spec.s < 0 or ell + spec.t < 0:
+        return CongruenceReport(spec, ell, METHOD_BELOW_BOUND, ())
+    precision = certificate_precision(spec, ell)
+    form = lifted_form(spec, ell, precision)
+    flags = ladder_class_flags(form)
+    if theta_vanishes(spec, ell, THETA_WINDOW_DEFAULT) != (flags is None):
+        raise PrecisionError(f"the window disagrees with the ladder at ell={ell}")
+    if flags is None:
+        assert ell < 17 or theta_zero_congruences_hold(spec, ell)
+        return CongruenceReport(
+            spec, ell, METHOD_THETA_VANISHING, tuple(range(1, ell)),
+            weight=form.weight, precision=precision,
+        )
+    squares, nonsquares = flags
+    residues = tuple(
+        c for c in range(1, ell) if (squares if legendre(c, ell) == 1 else nonsquares)
+    )
+    return CongruenceReport(
+        spec, ell, METHOD_RIGOROUS, residues, weight=form.weight, precision=precision
+    )
+
+
+DIFFERENTIAL_SPECS = (
+    QuotientSpec(0, -12, 1),
+    QuotientSpec(0, 1, 1),
+    QuotientSpec(144, -15, -14),
+    QuotientSpec(17, 17, -17),
+    QuotientSpec(0, 0, 0),
+    QuotientSpec(0, -1, 0),
+    QuotientSpec(1, 0, -1),
+    QuotientSpec(0, 1, -1),
+    QuotientSpec(2, 0, -1),
+    QuotientSpec(1, -1, 0),
+    QuotientSpec(0, -30, 2),
+)
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL_SPECS, ids=str)
+def test_quotient_scan_matches_the_theta_ladder_on_the_lift(spec):
+    top = min(theorem_bound(spec) + 30, 200)
+    mismatches = [
+        ell
+        for ell in primerange(2, top + 1)
+        if scan_prime(spec, ell) != ladder_scan_prime(spec, ell)
+    ]
+    assert mismatches == []
+
+
+def test_scan_keeps_the_window_guard_on_theta_vanishing(monkeypatch):
+    monkeypatch.setattr(scanner, "theta_vanishes", lambda spec, ell: False)
+    with pytest.raises(PrecisionError):
+        scan_prime(QuotientSpec(0, 1, 1), 11)
