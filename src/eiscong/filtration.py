@@ -1,24 +1,42 @@
 """Filtrations of level-one modular forms mod ell.
 
-A reduction mod ell of a weight-k form is represented in the monomial
-basis E4^a E6^b.  Whether a series of tagged weight k agrees with a
-form of weight w is decided by matching q-expansions through the level
-one bound floor(w/12): two reductions of weight-w forms that agree on
-coefficients a(0), ..., a(floor(w/12)) agree identically, so every
-positive answer here is a finite certificate, not a heuristic.
+A reduction mod ell of a weight-k form is represented once, at its
+tagged weight, in the monomial basis E4^a E6^b: q-expansions are matched
+through the level one bound floor(k/12), and two reductions of weight-k
+forms that agree on a(0), ..., a(floor(k/12)) agree identically, so the
+representing polynomial F in Q, R over F_ell is a finite certificate.
+Everything after that is polynomial arithmetic.  By Swinnerton-Dyer
+(LNM 350, 1973) the filtration is below k exactly when A~ divides F,
+where A~ is the weight ell - 1 polynomial with value 1; each exact
+division lowers the weight by ell - 1.  Theta acts on polynomials by
+
+    12 theta(F) = k B~ F - A~ (4R dF/dQ + 6Q^2 dF/dR),
+
+with B~ the weight ell + 1 polynomial with value E2 (Ramanujan's
+identities, made isobaric by the factor A~).
+
+Polynomials are stored densely: a weight-k polynomial is the list of
+its coefficients on Q^(a0 - 3j) R^(b0 + 2j), j = 0, 1, ..., with b0 in
+{0, 1} fixed by k mod 4 (see `dense_layout`), so division by A~ is long
+division of coefficient lists.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from operator import mul
+from typing import Mapping, Sequence
 
 from sympy import isprime
 
 from .eisenstein import LiftedForm, eisenstein_series
 from .linalg import solve_mod_prime
 from .series import PrecisionError, TruncatedSeries
+
+log = logging.getLogger(__name__)
 
 
 def sturm(weight: int) -> int:
@@ -28,16 +46,23 @@ def sturm(weight: int) -> int:
     return weight // 12
 
 
-def monomial_exponents(weight: int) -> tuple[tuple[int, int], ...]:
-    """All (a, b) with 4a + 6b = weight and a, b >= 0, in descending-a order."""
+def dense_layout(weight: int) -> tuple[int, int, int]:
+    """(a0, b0, length) of the dense coefficient list of a weight-`weight` polynomial.
+
+    Entry j is the coefficient of Q^(a0 - 3j) R^(b0 + 2j); b0 is 1 exactly
+    when weight = 2 mod 4, and length counts the monomials of the weight.
+    """
     if weight < 0 or weight % 2:
         raise ValueError(f"weight must be even and nonnegative, got {weight}")
-    out = []
-    for b in range(weight // 6 + 1):
-        rest = weight - 6 * b
-        if rest % 4 == 0:
-            out.append((rest // 4, b))
-    return tuple(out)
+    b0 = weight // 2 % 2
+    a0 = (weight - 6 * b0) // 4
+    return a0, b0, a0 // 3 + 1 if a0 >= 0 else 0
+
+
+def monomial_exponents(weight: int) -> tuple[tuple[int, int], ...]:
+    """All (a, b) with 4a + 6b = weight and a, b >= 0, in descending-a order."""
+    a0, b0, length = dense_layout(weight)
+    return tuple((a0 - 3 * j, b0 + 2 * j) for j in range(length))
 
 
 @lru_cache(maxsize=None)
@@ -125,6 +150,39 @@ class IsobaricPolynomial:
         terms = tuple((a, b, c % prime) for (a, b), c in items if c % prime)
         return cls(prime, weight, terms)
 
+    @classmethod
+    def from_dense(
+        cls, prime: int, weight: int, coeffs: Sequence[int]
+    ) -> "IsobaricPolynomial":
+        """The polynomial with the given coefficients on the dense layout of its weight."""
+        a0, b0, _ = dense_layout(weight)
+        terms = tuple(
+            (a0 - 3 * j, b0 + 2 * j, c % prime) for j, c in enumerate(coeffs) if c % prime
+        )
+        return cls(prime, weight, terms)
+
+    def dense(self) -> list[int]:
+        """The coefficients on the dense layout of the weight (see `dense_layout`)."""
+        _, b0, length = dense_layout(self.weight)
+        out = [0] * length
+        for _, b, c in self.terms:
+            out[(b - b0) // 2] = c
+        return out
+
+    def theta(self) -> "IsobaricPolynomial":
+        """The polynomial of the theta image, of weight weight + prime + 1."""
+        coeffs = dense_theta(self.prime, self.weight, self.dense())
+        return IsobaricPolynomial.from_dense(self.prime, self.weight + self.prime + 1, coeffs)
+
+    def strip_a_tilde(self) -> tuple["IsobaricPolynomial", int]:
+        """Divide by A~ while it divides exactly; the quotient and the number of divisions.
+
+        For the polynomial of a form at any weight, the quotient sits at
+        the form's filtration.
+        """
+        weight, coeffs, count = dense_strip_a_tilde(self.prime, self.weight, self.dense())
+        return IsobaricPolynomial.from_dense(self.prime, weight, coeffs), count
+
     def coefficient(self, a: int, b: int) -> int:
         for aa, bb, c in self.terms:
             if (aa, bb) == (a, b):
@@ -188,13 +246,106 @@ def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None
     return IsobaricPolynomial.from_coefficients(ell, weight, coefficients)
 
 
-def filtration(form: ModularFormModEll) -> int:
-    """The least weight of a modular form congruent to the given reduction.
+def dense_product(
+    ell: int, weight1: int, f: Sequence[int], weight2: int, g: Sequence[int]
+) -> list[int]:
+    """Dense coefficients mod ell of the product of dense polynomials of the two weights."""
+    # R^2 = Q^3 * (R^2 / Q^3): two odd R-exponents move every index up by one
+    shift = dense_layout(weight1)[1] & dense_layout(weight2)[1]
+    out = [0] * dense_layout(weight1 + weight2)[2]
+    if len(g) > len(f):
+        f, g = g, f
+    width = len(f)
+    for j, c in enumerate(g, start=shift):
+        if c:
+            out[j : j + width] = [x + c * y for x, y in zip(out[j : j + width], f)]
+    return [x % ell for x in out]
 
-    Searches downward from the tagged weight in steps of ell - 1;
-    representable weights are upward closed (multiply by the weight
-    ell - 1 polynomial with value 1), so the weight before the first
-    failure is the infimum.  Undefined for the zero reduction.
+
+def dense_quotient(
+    ell: int, weight: int, f: Sequence[int], divisor_weight: int, d: Sequence[int]
+) -> list[int] | None:
+    """f / d for dense polynomials over F_ell, or None unless d divides f exactly.
+
+    Long division from the highest R-exponent down; d must be nonzero.
+    A quotient coefficient outside the dense layout of the quotient's
+    weight (a negative power of Q) means d does not divide f.
+    """
+    quotient_weight = weight - divisor_weight
+    if quotient_weight < 0:
+        return None
+    _, b0, length = dense_layout(quotient_weight)
+    shift = b0 & dense_layout(divisor_weight)[1]
+    if any(c % ell for c in f[:shift]):
+        return None
+    g = f[shift:]
+    top = max(i for i, c in enumerate(d) if c % ell)
+    inv = pow(d[top], -1, ell)
+    low = d[:top][::-1]
+    size = max(len(g) - top, 0)
+    q = [0] * (size + top)
+    for i in reversed(range(size)):
+        c = (g[i + top] - sum(map(mul, q[i + 1 : i + 1 + top], low))) * inv % ell
+        if c:
+            if i >= length:
+                return None
+            q[i] = c
+    # the coefficients below the divisor's top are the remainder's
+    for n in range(min(top, len(g))):
+        if (g[n] - sum(q[n - t] * d[t] for t in range(n + 1))) % ell:
+            return None
+    q = q[: min(size, length)]
+    return q + [0] * (length - len(q))
+
+
+def dense_theta(ell: int, weight: int, f: Sequence[int]) -> list[int]:
+    """Dense coefficients of theta(F) for a dense weight-`weight` F, at weight + ell + 1.
+
+    12 theta(F) = k B~ F - A~ D with D = 4R dF/dQ + 6Q^2 dF/dR, which has
+    weight k + 2.
+    """
+    a0, b0, _ = dense_layout(weight)
+    h = [0, *f, 0]  # h[j + 1] is the coefficient of Q^(a0 - 3j) R^(b0 + 2j)
+    if b0 == 0:
+        # Q^(a0-3j) R^(2j) gives Q^(a0-1-3j) R^(1+2j) and Q^(a0-1-3(j-1)) R^(1+2(j-1))
+        derivative = [
+            4 * (a0 - 3 * j) * h[j + 1] + 12 * (j + 1) * h[j + 2]
+            for j in range(dense_layout(weight + 2)[2])
+        ]
+    else:
+        # Q^(a0-3j) R^(1+2j) gives Q^(a0+2-3(j+1)) R^(2(j+1)) and Q^(a0+2-3j) R^(2j)
+        derivative = [
+            6 * (2 * j + 1) * h[j + 1] + 4 * (a0 - 3 * j + 3) * h[j]
+            for j in range(dense_layout(weight + 2)[2])
+        ]
+    kbf = dense_product(ell, ell + 1, compute_b_tilde(ell).dense(), weight, f)
+    ad = dense_product(ell, ell - 1, compute_a_tilde(ell).dense(), weight + 2, derivative)
+    inv12 = pow(12, -1, ell)
+    return [(weight * x - y) * inv12 % ell for x, y in zip(kbf, ad)]
+
+
+def dense_strip_a_tilde(
+    ell: int, weight: int, f: Sequence[int]
+) -> tuple[int, list[int], int]:
+    """Divide a dense polynomial by A~ while it divides exactly.
+
+    Returns the weight reached, its dense coefficients and the number of
+    divisions.  By Swinnerton-Dyer the weight reached is the filtration
+    when f is the polynomial of a nonzero form.
+    """
+    a_tilde = compute_a_tilde(ell).dense()
+    coeffs, count = list(f), 0
+    while (q := dense_quotient(ell, weight, coeffs, ell - 1, a_tilde)) is not None:
+        weight, coeffs, count = weight - (ell - 1), q, count + 1
+    return weight, coeffs, count
+
+
+def filtration_polynomial(form: ModularFormModEll) -> tuple[IsobaricPolynomial, int]:
+    """The form's polynomial at its filtration, and the divisions by A~ that reached it.
+
+    One solve writes the form at its tagged weight; the quotient by the
+    highest power of A~ dividing that polynomial sits at the least
+    weight of a congruent form.  Undefined for the zero reduction.
     """
     ell = form.prime
     s = sturm(form.weight)
@@ -205,21 +356,32 @@ def filtration(form: ModularFormModEll) -> int:
         )
     if all(form.series.coefficient(n) == 0 for n in range(s + 1)):
         raise ValueError("filtration is undefined for the zero reduction")
-    best = None
-    w = form.weight
-    while w >= 0:
-        if represent(form, w) is None:
-            break
-        best = w
-        w -= ell - 1
-    if best is None:
+    poly = represent(form, form.weight)
+    if poly is None:
         raise RuntimeError(
             f"series tagged weight {form.weight} mod {ell} matches no modular form; "
             "the weight tag is wrong or the input is corrupt"
         )
-    return best
+    return poly.strip_a_tilde()
 
 
+def filtration(form: ModularFormModEll) -> int:
+    """The least weight of a modular form congruent to the given reduction.
+
+    Writes the form once at its tagged weight and divides the polynomial
+    by A~ while it divides exactly (Swinnerton-Dyer); each division
+    lowers the weight by ell - 1.  Undefined for the zero reduction.
+    """
+    start = time.perf_counter()
+    poly, divisions = filtration_polynomial(form)
+    log.info(
+        "filtration mod %d: tagged weight %d, filtration %d, %d divisions by A~, %.4f s",
+        form.prime, form.weight, poly.weight, divisions, time.perf_counter() - start,
+    )
+    return poly.weight
+
+
+@lru_cache(maxsize=None)
 def compute_a_tilde(ell: int) -> IsobaricPolynomial:
     """The weight-(ell-1) polynomial in Q, R whose value at (E4, E6) is 1 mod ell."""
     if ell < 5 or not isprime(ell):
@@ -231,6 +393,7 @@ def compute_a_tilde(ell: int) -> IsobaricPolynomial:
     return poly
 
 
+@lru_cache(maxsize=None)
 def compute_b_tilde(ell: int) -> IsobaricPolynomial:
     """The weight-(ell+1) polynomial in Q, R whose value at (E4, E6) is E2 mod ell."""
     if ell < 5 or not isprime(ell):

@@ -13,7 +13,7 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -271,6 +271,7 @@ class ResultsCache:
         return None if latest is None else record_to_report(latest)
 
     def put(self, result: ScanResult) -> None:
+        """Append one record per report of the result, the sample above the bound included."""
         self.directory.mkdir(parents=True, exist_ok=True)
         with open(self.path_for(result.spec), "a", encoding="utf-8") as fh:
             for record in result.to_records():
@@ -290,7 +291,8 @@ def verify_theorem(
     Every prime in range gets a full scan_prime analysis.  Primes above
     the bound must report no congruence (the identity quotient is the
     stated exception); a congruence there is raised as a counterexample.
-    With a cache, previously scanned primes are not recomputed.
+    With a cache, previously scanned primes are not recomputed, and only
+    the primes scanned in this call are appended to it.
     """
     t_bound = theorem_bound(spec)
     r_bound = remark_bound(spec)
@@ -340,8 +342,16 @@ def verify_theorem(
         started_at=started,
         finished_at=datetime.now(timezone.utc).isoformat(),
     )
-    if cache is not None:
-        cache.put(result)
+    if cache is not None and missing:
+        # the cached primes are on file already; append only this call's scans
+        fresh = set(missing)
+        cache.put(
+            replace(
+                result,
+                reports=tuple(r for r in result.reports if r.ell in fresh),
+                sampled_above=tuple(r for r in result.sampled_above if r.ell in fresh),
+            )
+        )
     return result
 
 

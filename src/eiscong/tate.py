@@ -9,11 +9,18 @@ image.  That identity multiplies a(n) by n*(n|ell) on the left, so it
 amounts to a(n) = 0 for every n prime to ell in the quadratic class of
 c, through the Sturm index floor((k + (ell+1)^2/2)/12): one scan of
 the coefficients, with no theta applied.
+
+Tate cycles (Jochnowitz 1982) are profiled on polynomials in Q, R over
+F_ell: one solve writes the form at its tagged weight, and from there
+theta, the filtration of each iterate (division by A~) and the Fermat
+closure are polynomial arithmetic, see `eiscong.filtration`.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 from sympy import isprime, primefactors
@@ -24,8 +31,16 @@ from .eisenstein import (
     quotient_q_coefficient,
     quotient_series,
 )
-from .filtration import ModularFormModEll, filtration, sturm
+from .filtration import (
+    ModularFormModEll,
+    dense_strip_a_tilde,
+    dense_theta,
+    filtration_polynomial,
+    sturm,
+)
 from .series import PrecisionError, TruncatedSeries
+
+log = logging.getLogger(__name__)
 
 #: default window for the quotient-side theta-vanishing check
 THETA_WINDOW_DEFAULT = 500
@@ -33,8 +48,9 @@ THETA_WINDOW_DEFAULT = 500
 #: primes that can never be excluded by the closed-form coefficient system
 SMALL_CANDIDATE_PRIMES = (2, 3, 5, 7, 11, 13)
 
-#: default cap on Tate-cycle profiling (the cost is ell - 1 filtration solves)
-TATE_CYCLE_CAP = 53
+#: default cap on Tate-cycle profiling (ell - 1 theta steps on polynomials of
+#: weight up to about ell^2)
+TATE_CYCLE_CAP = 200
 
 METHOD_RIGOROUS = "rigorous"
 METHOD_HEURISTIC = "heuristic"
@@ -87,11 +103,14 @@ class TateCycleProfile:
 def tate_cycle(form: ModularFormModEll, cap: int = TATE_CYCLE_CAP) -> TateCycleProfile:
     """Profile the full cycle of theta iterates of the form.
 
-    Each iterate's filtration is found by descending linear solves; the
-    iterate after a filtration divisible by ell must drop by a positive
-    multiple of ell - 1, every other step must rise by exactly ell + 1,
-    and the cycle closes up by Fermat.  All three facts are re-verified
-    and a violation raises, since it can only mean a bug.
+    One solve writes the form as a polynomial in Q, R over F_ell; theta
+    then acts on polynomials, and each iterate is divided by A~ while
+    it divides exactly, which leaves it at its filtration.  The iterate
+    after a filtration divisible by ell must drop by a positive multiple
+    of ell - 1, every other step must rise by exactly ell + 1, and the
+    cycle closes up by Fermat (theta^ell and theta reduce to the same
+    polynomial).  All three facts are re-verified and a violation
+    raises, since it can only mean a bug.
     """
     ell = form.prime
     if ell > cap:
@@ -104,23 +123,30 @@ def tate_cycle(form: ModularFormModEll, cap: int = TATE_CYCLE_CAP) -> TateCycleP
             f"profiling a weight-{form.weight} form mod {ell} needs precision "
             f"{needed}, have {form.precision}"
         )
-    base = filtration(form)
-    first = form.series.theta()
-    if all(first.coefficient(n) == 0 for n in range(sturm(base + ell + 1) + 1)):
+    start = time.perf_counter()
+    base_poly, divisions = filtration_polynomial(form)
+    base = base_poly.weight
+
+    def theta_step(weight: int, coeffs: list[int]) -> tuple[int, list[int]]:
+        nonlocal divisions
+        lowered, coeffs, count = dense_strip_a_tilde(
+            ell, weight + ell + 1, dense_theta(ell, weight, coeffs)
+        )
+        divisions += count
+        return lowered, coeffs
+
+    first = theta_step(base, base_poly.dense())
+    if not any(first[1]):
         raise ValueError(
             "theta kills this form mod ell; the cycle is trivial and every "
             "nonzero residue carries a congruence"
         )
-    filts: list[int] = []
-    series = form.series
-    prev = base
-    for _ in range(1, ell):
-        series = series.theta()
-        it = ModularFormModEll(ell, prev + ell + 1, series)
-        prev = filtration(it)
-        filts.append(prev)
-    closure = series.theta()
-    if closure != first:
+    iterate = first
+    filts = [first[0]]
+    for _ in range(2, ell):
+        iterate = theta_step(*iterate)
+        filts.append(iterate[0])
+    if theta_step(*iterate) != first:
         raise RuntimeError("theta iterates fail to close up after ell steps")
     if base % ell and filts[0] != base + ell + 1:
         raise RuntimeError("first theta step must rise by ell + 1")
@@ -146,6 +172,10 @@ def tate_cycle(form: ModularFormModEll, cap: int = TATE_CYCLE_CAP) -> TateCycleP
         raise RuntimeError(f"a Tate cycle has one or two low points, found {len(lows)}")
     if len(lows) == 1 and filts[lows[0] - 1] % ell != 2:
         raise RuntimeError("a single low point must have filtration 2 mod ell")
+    log.info(
+        "tate cycle mod %d: tagged weight %d, base filtration %d, %d divisions by A~, %.4f s",
+        ell, form.weight, base, divisions, time.perf_counter() - start,
+    )
     return TateCycleProfile(
         prime=ell,
         base_weight=form.weight,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eiscong
 from eiscong.cli import main
 
 
@@ -91,6 +96,19 @@ def test_tate_cycle_command(capsys):
     payload = json.loads(out)
     assert payload["low_points"] == [9, 1]
     assert payload["falls"] == [9, 9]
+
+
+def test_verbose_tate_cycle_logs_the_cycle_and_its_filtration():
+    # a fresh interpreter, so that --verbose configures logging itself
+    env = {**os.environ, "PYTHONPATH": str(Path(eiscong.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "eiscong.cli", "--verbose", "tate-cycle",
+         "--r", "0", "--s", "-12", "--t", "1", "--ell", "17"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert "eiscong.tate" in proc.stderr
+    assert "tate cycle mod 17: tagged weight 128, base filtration 128" in proc.stderr
+    assert "base filtration 128" in proc.stdout
 
 
 def test_verify_theorem_command(capsys, tmp_path):

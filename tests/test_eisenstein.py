@@ -12,6 +12,7 @@ from eiscong.eisenstein import (
     quotient_q2_coefficient,
     quotient_q_coefficient,
     quotient_series,
+    _sigma_table,
     replacement_lift,
     sigma,
 )
@@ -34,6 +35,13 @@ def test_sigma_matches_full_divisor_enumeration():
         power = rng.randrange(0, 6)
         n = rng.randrange(1, 400)
         assert sigma(power, n) == brute_sigma(power, n)
+
+
+def test_sigma_table_sieve_matches_sigma():
+    for power in (1, 3, 5):
+        assert _sigma_table(power, 3000) == tuple(sigma(power, n) for n in range(1, 3000))
+    assert _sigma_table(3, 1) == ()
+    assert _sigma_table(3, 2) == (1,)
 
 
 def test_sigma_rejects_nonpositive():

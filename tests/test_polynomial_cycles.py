@@ -1,0 +1,283 @@
+"""Filtrations and Tate cycles on polynomials in Q, R against the series ladder.
+
+The series-based `filtration` and `tate_cycle` that the polynomial path
+replaced are kept here as references: the filtration by a descending
+ladder of solves, the cycle by theta on q-series and one ladder per
+iterate.
+"""
+
+import logging
+
+import pytest
+from sympy import primerange
+
+from eiscong.eisenstein import QuotientSpec, eisenstein_series, replacement_lift
+from eiscong.filtration import (
+    IsobaricPolynomial,
+    ModularFormModEll,
+    compute_a_tilde,
+    dense_layout,
+    dense_product,
+    filtration,
+    filtration_polynomial,
+    represent,
+    sturm,
+)
+from eiscong.scanner import profile_precision
+from eiscong.series import PrecisionError, TruncatedSeries
+from eiscong.tate import TATE_CYCLE_CAP, TateCycleProfile, tate_cycle
+
+
+def ladder_filtration(form):
+    """Reference filtration: solve at every weight down from the tag in steps of ell - 1."""
+    ell = form.prime
+    s = sturm(form.weight)
+    if form.precision < s + 1:
+        raise PrecisionError(f"filtration at weight {form.weight} needs precision {s + 1}")
+    if all(form.series.coefficient(n) == 0 for n in range(s + 1)):
+        raise ValueError("filtration is undefined for the zero reduction")
+    best = None
+    w = form.weight
+    while w >= 0:
+        if represent(form, w) is None:
+            break
+        best = w
+        w -= ell - 1
+    if best is None:
+        raise RuntimeError(f"series tagged weight {form.weight} mod {ell} matches no form")
+    return best
+
+
+def ladder_tate_cycle(form):
+    """Reference cycle: theta on the q-series and a ladder filtration of each iterate."""
+    ell = form.prime
+    needed = sturm(form.weight + (ell - 1) * (ell + 1)) + 1
+    if form.precision < needed:
+        raise PrecisionError(f"profiling mod {ell} needs precision {needed}")
+    base = ladder_filtration(form)
+    first = form.series.theta()
+    if all(first.coefficient(n) == 0 for n in range(sturm(base + ell + 1) + 1)):
+        raise ValueError("theta kills this form mod ell")
+    filts = []
+    series = form.series
+    prev = base
+    for _ in range(1, ell):
+        series = series.theta()
+        prev = ladder_filtration(ModularFormModEll(ell, prev + ell + 1, series))
+        filts.append(prev)
+    if series.theta() != first:
+        raise RuntimeError("theta iterates fail to close up after ell steps")
+    if base % ell and filts[0] != base + ell + 1:
+        raise RuntimeError("first theta step must rise by ell + 1")
+    highs, lows, falls = [], [], []
+    for i in range(1, ell):
+        w = filts[i - 1]
+        succ = i % (ell - 1) + 1
+        w_next = filts[succ - 1]
+        if w % ell == 0:
+            drop = w + ell + 1 - w_next
+            if drop <= 0 or drop % (ell - 1):
+                raise RuntimeError(f"iterate {succ} falls by {drop}")
+            highs.append(i)
+            lows.append(succ)
+            falls.append(drop // (ell - 1))
+        elif w_next != w + ell + 1:
+            raise RuntimeError(f"iterate {succ} must rise by ell + 1")
+    if len(lows) not in (1, 2):
+        raise RuntimeError(f"a Tate cycle has one or two low points, found {len(lows)}")
+    if len(lows) == 1 and filts[lows[0] - 1] % ell != 2:
+        raise RuntimeError("a single low point must have filtration 2 mod ell")
+    return TateCycleProfile(
+        prime=ell,
+        base_weight=form.weight,
+        base_filtration=base,
+        filtrations=tuple(filts),
+        high_points=tuple(highs),
+        low_points=tuple(lows),
+        falls=tuple(falls),
+    )
+
+
+def outcome(profile, form):
+    # a profile, or the exception type for forms theta kills
+    try:
+        return profile(form)
+    except ValueError as exc:
+        return type(exc)
+
+
+def eis_product(a, b, c, ell, terms):
+    # E2^a * E4^b * E6^c as the reduction of a weight a*(ell+1) + 4b + 6c form
+    out = TruncatedSeries.one(ell, terms)
+    for k, e in ((2, a), (4, b), (6, c)):
+        if e:
+            out = out * eisenstein_series(k, ell, terms).pow(e)
+    return ModularFormModEll(ell, a * (ell + 1) + 4 * b + 6 * c, out)
+
+
+def cycle_precision(a, b, c, ell):
+    return sturm(a * (ell + 1) + 4 * b + 6 * c + (ell - 1) * (ell + 1)) + 1
+
+
+# ---------------------------------------------------------------------------
+# the differential tests
+
+
+#: compared at every prime; the series ladder takes about a second a cycle at 31
+CYCLE_SPECS = (QuotientSpec(0, -12, 1), QuotientSpec(1, 0, -1), QuotientSpec(0, 0, -2))
+
+#: compared at the primes up to 19, where the ladder is cheap; E4*E6 is
+#: killed by theta mod 11 and 1/E4 mod 5
+SMALL_PRIME_SPECS = (QuotientSpec(0, 1, 1), QuotientSpec(0, -1, 0), QuotientSpec(2, -3, 1))
+SMALL_PRIME_PRODUCTS = ((0, 1, 0), (0, 0, 1), (1, 1, 1))
+
+
+@pytest.mark.parametrize("ell", list(primerange(5, 32)))
+def test_cycles_match_the_series_ladder(ell):
+    small = ell <= 19
+    forms = [
+        ModularFormModEll.from_lift(replacement_lift(spec, ell, profile_precision(spec, ell)))
+        for spec in CYCLE_SPECS + (SMALL_PRIME_SPECS if small else ())
+        if ell + spec.s >= 0 and ell + spec.t >= 0
+    ]
+    forms += [
+        eis_product(a, b, c, ell, cycle_precision(a, b, c, ell))
+        for a, b, c in (SMALL_PRIME_PRODUCTS if small else ())
+    ]
+    mismatches = [
+        form.weight
+        for form in forms
+        if outcome(tate_cycle, form) != outcome(ladder_tate_cycle, form)
+    ]
+    assert mismatches == []
+
+
+def test_filtrations_match_the_series_ladder():
+    mismatches = []
+    for ell in primerange(5, 24):
+        for a in range(4):
+            for b in range(4):
+                for c in range(4):
+                    if (a, b, c) == (0, 0, 0):
+                        continue
+                    form = eis_product(a, b, c, ell, sturm(a * (ell + 1) + 4 * b + 6 * c) + 1)
+                    if filtration(form) != ladder_filtration(form):
+                        mismatches.append((ell, a, b, c))
+    assert mismatches == []
+
+
+# ---------------------------------------------------------------------------
+# theta on polynomials and division by A~
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 17, 19])
+def test_polynomial_theta_evaluates_to_the_series_theta(ell):
+    for a, b, c in ((0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 0, 3), (0, 3, 2), (3, 2, 0)):
+        weight = a * (ell + 1) + 4 * b + 6 * c
+        terms = sturm(weight + ell + 1) + 1
+        form = eis_product(a, b, c, ell, terms)
+        image = represent(form, weight).theta()
+        assert image.weight == weight + ell + 1
+        assert image.evaluate(terms).agrees_with(form.series.theta())
+
+
+def test_theta_of_a_constant_is_zero():
+    assert IsobaricPolynomial(13, 0, ((0, 0, 1),)).theta().terms == ()
+
+
+def test_dense_round_trip():
+    poly = compute_a_tilde(37)
+    a0, b0, length = dense_layout(poly.weight)
+    assert len(poly.dense()) == length
+    assert IsobaricPolynomial.from_dense(37, poly.weight, poly.dense()) == poly
+    assert (a0, b0) == (9, 0)
+
+
+def test_a_tilde_is_q_at_5_and_divides_only_multiples_of_q():
+    # Q^2 R: two divisions leave R, which is prime to Q
+    poly = IsobaricPolynomial(5, 14, ((2, 1, 3),))
+    assert poly.strip_a_tilde() == (IsobaricPolynomial(5, 6, ((0, 1, 3),)), 2)
+    # R^2 + Q^3 at weight 12: R^2 is prime to Q
+    poly = IsobaricPolynomial(5, 12, ((3, 0, 1), (0, 2, 1)))
+    assert poly.strip_a_tilde() == (poly, 0)
+    # Q^3 alone: three divisions down to the constant
+    cube = IsobaricPolynomial(5, 12, ((3, 0, 2),))
+    assert cube.strip_a_tilde() == (IsobaricPolynomial(5, 0, ((0, 0, 2),)), 3)
+
+
+def test_a_tilde_is_r_at_7_and_divides_only_multiples_of_r():
+    # R^3 = R * R^2, even and odd R-exponents on the way down
+    poly = IsobaricPolynomial(7, 18, ((0, 3, 4),))
+    assert poly.strip_a_tilde() == (IsobaricPolynomial(7, 0, ((0, 0, 4),)), 3)
+    # Q^3 R + R^3 = R (Q^3 + R^2): one division, and Q^3 + R^2 is prime to R
+    poly = IsobaricPolynomial(7, 18, ((3, 1, 1), (0, 3, 1)))
+    assert poly.strip_a_tilde() == (IsobaricPolynomial(7, 12, ((3, 0, 1), (0, 2, 1))), 1)
+    # Q^3 + R^2 itself is not divisible by R
+    poly = IsobaricPolynomial(7, 12, ((3, 0, 1), (0, 2, 1)))
+    assert poly.strip_a_tilde() == (poly, 0)
+
+
+def test_a_tilde_divides_its_own_powers():
+    for ell in (5, 7, 11, 13, 29, 31):
+        a_tilde = compute_a_tilde(ell)
+        coeffs = dense_product(ell, ell - 1, a_tilde.dense(), ell - 1, a_tilde.dense())
+        square = IsobaricPolynomial.from_dense(ell, 2 * (ell - 1), coeffs)
+        assert square.strip_a_tilde() == (IsobaricPolynomial(ell, 0, ((0, 0, 1),)), 2)
+
+
+def test_filtration_polynomial_sits_at_the_filtration():
+    # E2 * E4 mod 13: filtration 18, no division
+    form = eis_product(1, 1, 0, 13, 8)
+    poly, divisions = filtration_polynomial(form)
+    assert (poly.weight, divisions) == (18, 0)
+    # E4 mod 5 reduces to the constant 1
+    form = ModularFormModEll(5, 4, eisenstein_series(4, 5, 4))
+    poly, divisions = filtration_polynomial(form)
+    assert (poly.weight, poly.terms, divisions) == (0, ((0, 0, 1),), 1)
+
+
+# ---------------------------------------------------------------------------
+# errors and logging
+
+
+def test_wrong_weight_tag_raises_in_filtration_and_cycle():
+    # weight 14 reductions are spanned by E4^2*E6 alone, so no weight-14
+    # form starts 0 + q + ...
+    fake = ModularFormModEll(13, 14, TruncatedSeries(13, [0, 1] + [0] * 38))
+    with pytest.raises(RuntimeError):
+        filtration(fake)
+    with pytest.raises(RuntimeError):
+        tate_cycle(fake)
+
+
+def test_cycle_above_the_old_cap_under_the_default_cap():
+    spec, ell = QuotientSpec(0, -12, 1), 59
+    assert ell <= TATE_CYCLE_CAP
+    form = ModularFormModEll.from_lift(
+        replacement_lift(spec, ell, profile_precision(spec, ell))
+    )
+    profile = tate_cycle(form)
+    filts = profile.filtrations
+    assert len(filts) == ell - 1
+    assert (profile.base_filtration - form.weight) % (ell - 1) == 0
+    for i, w in enumerate(filts, start=1):
+        assert (w - form.weight - 2 * i) % (ell - 1) == 0
+        assert w <= form.weight + i * (ell + 1)
+    assert len(profile.low_points) in (1, 2)
+    assert all(filts[i - 1] % ell == 0 for i in profile.high_points)
+    assert all(fall > 0 for fall in profile.falls)
+
+
+def test_filtration_and_cycle_log_one_line_each(caplog):
+    spec, ell = QuotientSpec(0, -12, 1), 17
+    form = ModularFormModEll.from_lift(
+        replacement_lift(spec, ell, profile_precision(spec, ell))
+    )
+    with caplog.at_level(logging.INFO, logger="eiscong"):
+        filtration(form)
+        tate_cycle(form)
+    lines = [(r.name, r.getMessage()) for r in caplog.records]
+    assert [name for name, _ in lines] == ["eiscong.filtration", "eiscong.tate"]
+    assert all("tagged weight 128" in message for _, message in lines)
+    assert "filtration 128" in lines[0][1]
+    assert "base filtration 128" in lines[1][1]

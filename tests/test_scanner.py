@@ -257,6 +257,21 @@ def test_warm_cache_skips_all_series_work(tmp_path, monkeypatch):
     assert first.to_records() == second.to_records()
 
 
+def test_warm_rerun_appends_nothing(tmp_path):
+    spec = QuotientSpec(0, 1, 1)
+    cache = ResultsCache(tmp_path)
+    verify_theorem(spec, use_remark=True, sample_above=1, cache=cache)
+    lines = cache.path_for(spec).read_text().splitlines()
+    first = verify_theorem(spec, use_remark=True, sample_above=1, cache=cache)
+    assert cache.path_for(spec).read_text().splitlines() == lines
+    assert len(lines) == len(first.to_records())
+    # one more sampled prime appends exactly its own record
+    second = verify_theorem(spec, use_remark=True, sample_above=2, cache=cache)
+    grown = cache.path_for(spec).read_text().splitlines()
+    assert grown[: len(lines)] == lines
+    assert [json.loads(line) for line in grown[len(lines):]] == second.to_records()[-1:]
+
+
 def test_latest_record_wins(tmp_path):
     spec = QuotientSpec(0, 1, 1)
     cache = ResultsCache(tmp_path)
