@@ -17,14 +17,10 @@ import sys
 from .eisenstein import (
     QuotientSpec,
     eisenstein_power_product,
+    quotient_series,
     replacement_lift,
 )
-from .filtration import (
-    ModularFormModEll,
-    compute_a_tilde,
-    filtration,
-    sturm,
-)
+from .filtration import ModularFormModEll, compute_a_tilde, filtration
 from .scanner import (
     RESULTS_DIR_ENV,
     CounterexampleError,
@@ -45,7 +41,6 @@ from .tate import (
     heuristic_simple_congruences,
     tate_cycle,
 )
-from .eisenstein import quotient_series
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -71,10 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--results-dir", default=None,
         help=f"directory for scan records (default: env {RESULTS_DIR_ENV} or ./results)",
-    )
-    parser.add_argument(
-        "--precision", type=int, default=None,
-        help="series precision override; must cover the command's computed minimum",
     )
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
     parser.add_argument("--verbose", action="store_true", help="log progress")
@@ -154,16 +145,6 @@ def _results_dir(args) -> str:
     return os.environ.get(RESULTS_DIR_ENV, "results")
 
 
-def _effective_precision(args, minimum: int) -> int:
-    if args.precision is None:
-        return minimum
-    if args.precision < minimum:
-        raise PrecisionError(
-            f"--precision {args.precision} is below the required minimum {minimum}"
-        )
-    return args.precision
-
-
 def _series_payload(series) -> dict:
     return {
         "modulus": series.modulus,
@@ -187,19 +168,15 @@ def _cmd_theta(args) -> int:
     return EXIT_OK
 
 
-def _lifted_form(args, minimum_precision):
+def _lifted_form(args) -> ModularFormModEll:
+    # the Sturm prefix of the lift weight is all that filtration and cycle read
     spec = QuotientSpec(args.r, args.s, args.t)
-    precision = _effective_precision(args, minimum_precision)
-    lifted = replacement_lift(spec, args.ell, precision)
-    return spec, ModularFormModEll.from_lift(lifted)
+    lifted = replacement_lift(spec, args.ell, profile_precision(spec, args.ell))
+    return ModularFormModEll.from_lift(lifted)
 
 
 def _cmd_filtration(args) -> int:
-    spec = QuotientSpec(args.r, args.s, args.t)
-    from .eisenstein import lift_weight
-
-    minimum = sturm(lift_weight(spec, args.ell)) + 1
-    _, form = _lifted_form(args, minimum)
+    form = _lifted_form(args)
     value = filtration(form)
     payload = {"r": args.r, "s": args.s, "t": args.t, "ell": args.ell,
                "weight": form.weight, "filtration": value}
@@ -208,10 +185,7 @@ def _cmd_filtration(args) -> int:
 
 
 def _cmd_tate_cycle(args) -> int:
-    spec = QuotientSpec(args.r, args.s, args.t)
-    minimum = profile_precision(spec, args.ell)
-    _, form = _lifted_form(args, minimum)
-    profile = tate_cycle(form, cap=args.cap)
+    profile = tate_cycle(_lifted_form(args), cap=args.cap)
     fall_of = dict(zip(profile.low_points, profile.falls))
     lines = [
         f"prime {profile.prime}, lift weight {profile.base_weight}, "
@@ -247,14 +221,12 @@ def _cmd_find_congruences(args) -> int:
     ell = args.ell
     if args.heuristic:
         window = args.window or max(50 * ell, 100)
-        if args.precision is not None:
-            window = _effective_precision(args, window)
         series = quotient_series(spec, ell, window)
         residues = tuple(sorted(heuristic_simple_congruences(series, ell)))
         report = CongruenceReport(spec, ell, METHOD_HEURISTIC, residues,
                                   weight=None, precision=window)
     else:
-        report = scan_prime(spec, ell, precision=args.precision)
+        report = scan_prime(spec, ell)
     record = report_to_record(report, bound=theorem_bound(spec))
     lines = [
         f"{spec} mod {ell}: method={report.method}",
@@ -271,7 +243,6 @@ def _cmd_verify_theorem(args) -> int:
         spec,
         use_remark=args.remark,
         sample_above=args.sample_above,
-        precision=args.precision,
         cache=cache,
         jobs=args.jobs,
     )

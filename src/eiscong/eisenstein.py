@@ -59,7 +59,9 @@ def eisenstein_series(weight: int, modulus: int, terms: int) -> TruncatedSeries:
     if terms < 1:
         raise ValueError("need at least one term")
     c = WEIGHT_CONSTANTS[weight]
-    vals = [1] + [c * s for s in _sigma_table(weight - 1, terms)]
+    # one sieve per power of two serves every shorter length
+    sigmas = _sigma_table(weight - 1, 1 << (terms - 1).bit_length())[: terms - 1]
+    vals = [1] + [c * s for s in sigmas]
     return TruncatedSeries(modulus, vals)
 
 

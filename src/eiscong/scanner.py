@@ -12,9 +12,11 @@ from __future__ import annotations
 import json
 import logging
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 from sympy import isprime, nextprime, primerange
@@ -94,14 +96,16 @@ def certificate_precision(spec: QuotientSpec, ell: int) -> int:
 
 
 def profile_precision(spec: QuotientSpec, ell: int) -> int:
-    """Series length needed to profile the full Tate cycle of the lift."""
-    return sturm(lift_weight(spec, ell) + (ell - 1) * (ell + 1)) + 1
+    """Series length needed to profile the full Tate cycle of the lift.
+
+    The cycle reads the lift only through its one solve at the lift
+    weight; every later step is polynomial arithmetic.
+    """
+    return sturm(lift_weight(spec, ell)) + 1
 
 
-def scan_prime(
-    spec: QuotientSpec, ell: int, precision: int | None = None
-) -> CongruenceReport:
-    """Full congruence analysis of one prime.
+def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
+    """Full congruence analysis of one prime, at `certificate_precision`.
 
     Primes 2 and 3 are trivial (every series involved reduces to 1) and
     reported without analysis.  A prime smaller than |s| or |t| admits
@@ -116,17 +120,21 @@ def scan_prime(
     """
     if not isprime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
+    start = time.perf_counter()
+    report = _decide_prime(spec, ell)
+    log.info(
+        "scan mod %d: %s, precision %s, %.4f s",
+        ell, report.method, report.precision, time.perf_counter() - start,
+    )
+    return report
+
+
+def _decide_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     if ell in (2, 3):
         return CongruenceReport(spec, ell, METHOD_TRIVIAL_PRIME, tuple(range(1, ell)))
     if ell + spec.s < 0 or ell + spec.t < 0:
         return CongruenceReport(spec, ell, METHOD_BELOW_BOUND, ())
-    minimum = certificate_precision(spec, ell)
-    if precision is None:
-        precision = minimum
-    elif precision < minimum:
-        raise PrecisionError(
-            f"requested precision {precision} is below the minimum {minimum} at ell={ell}"
-        )
+    precision = certificate_precision(spec, ell)
     weight = lift_weight(spec, ell)
     theta_kills, residues = congruence_scan(
         quotient_series(spec, ell, precision), ell, weight
@@ -143,7 +151,7 @@ def scan_prime(
     if ell >= 17 and not theta_zero_congruences_hold(spec, ell):
         raise PrecisionError(
             f"theta image vanishes through precision at ell={ell} but the coefficient "
-            "system forbids it; raise the precision"
+            "system forbids it"
         )
     return CongruenceReport(
         spec,
@@ -153,11 +161,6 @@ def scan_prime(
         weight=weight,
         precision=precision,
     )
-
-
-def _scan_worker(args):
-    spec, ell, precision = args
-    return scan_prime(spec, ell, precision)
 
 
 def report_to_record(report: CongruenceReport, bound: int, version: str = __version__) -> dict:
@@ -243,11 +246,12 @@ class ResultsCache:
     def path_for(self, spec: QuotientSpec) -> Path:
         return self.directory / f"scan-{spec.r}_{spec.s}_{spec.t}.jsonl"
 
-    def get(self, spec: QuotientSpec, ell: int) -> CongruenceReport | None:
+    def load(self, spec: QuotientSpec) -> dict[int, CongruenceReport]:
+        """The latest report for each prime on file for the quotient, from one read."""
         path = self.path_for(spec)
         if not path.exists():
-            return None
-        latest = None
+            return {}
+        latest = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -261,14 +265,15 @@ class ResultsCache:
                 if not all(k in record for k in RECORD_FIELDS):
                     log.warning("skipping incomplete record at %s:%d", path, lineno)
                     continue
-                if (
-                    record["version"] == self.version
-                    and record["ell"] == ell
-                    and (record["r"], record["s"], record["t"])
-                    == (spec.r, spec.s, spec.t)
-                ):
-                    latest = record
-        return None if latest is None else record_to_report(latest)
+                if record["version"] == self.version and (
+                    record["r"], record["s"], record["t"]
+                ) == (spec.r, spec.s, spec.t):
+                    latest[record["ell"]] = record
+        return {ell: record_to_report(record) for ell, record in latest.items()}
+
+    def get(self, spec: QuotientSpec, ell: int) -> CongruenceReport | None:
+        """The latest report on file for one prime, or None."""
+        return self.load(spec).get(ell)
 
     def put(self, result: ScanResult) -> None:
         """Append one record per report of the result, the sample above the bound included."""
@@ -282,7 +287,6 @@ def verify_theorem(
     spec: QuotientSpec,
     use_remark: bool = False,
     sample_above: int = 3,
-    precision: int | None = None,
     cache: ResultsCache | None = None,
     jobs: int = 1,
 ) -> ScanResult:
@@ -291,9 +295,11 @@ def verify_theorem(
     Every prime in range gets a full scan_prime analysis.  Primes above
     the bound must report no congruence (the identity quotient is the
     stated exception); a congruence there is raised as a counterexample.
-    With a cache, previously scanned primes are not recomputed, and only
-    the primes scanned in this call are appended to it.
+    With a cache, previously scanned primes are not recomputed: the
+    quotient's records are read once, and only the primes scanned in
+    this call are appended.
     """
+    start = time.perf_counter()
     t_bound = theorem_bound(spec)
     r_bound = remark_bound(spec)
     bound = r_bound if use_remark else t_bound
@@ -305,22 +311,16 @@ def verify_theorem(
     for _ in range(sample_above):
         p = int(nextprime(p))
         above.append(p)
-    reports: dict[int, CongruenceReport] = {}
     targets = primes + above
-    if cache is not None:
-        for ell in targets:
-            hit = cache.get(spec, ell)
-            if hit is not None:
-                reports[ell] = hit
+    on_file = {} if cache is None else cache.load(spec)
+    reports = {ell: on_file[ell] for ell in targets if ell in on_file}
     missing = [ell for ell in targets if ell not in reports]
     if jobs > 1 and len(missing) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            jobs_args = [(spec, ell, precision) for ell in missing]
-            for ell, report in zip(missing, pool.map(_scan_worker, jobs_args)):
-                reports[ell] = report
+            reports.update(zip(missing, pool.map(scan_prime, repeat(spec), missing)))
     else:
         for ell in missing:
-            reports[ell] = scan_prime(spec, ell, precision)
+            reports[ell] = scan_prime(spec, ell)
     identity = (spec.r, spec.s, spec.t) == (0, 0, 0)
     if not identity:
         for ell in above:
@@ -352,6 +352,11 @@ def verify_theorem(
                 sampled_above=tuple(r for r in result.sampled_above if r.ell in fresh),
             )
         )
+    log.info(
+        "sweep of %s: %d primes from %d to %d, %d cache hits, %d scanned, %.4f s",
+        spec, len(targets), targets[0], targets[-1],
+        len(targets) - len(missing), len(missing), time.perf_counter() - start,
+    )
     return result
 
 

@@ -35,7 +35,7 @@ def _convolve(a: Sequence[int], b: Sequence[int], modulus: int) -> list[int]:
         return []
     if min(len(a), len(b)) * (modulus - 1) ** 2 <= _INT64_LIMIT:
         prod = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return [int(c) for c in prod % modulus]
+        return (prod % modulus).tolist()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

@@ -110,18 +110,14 @@ def tate_cycle(form: ModularFormModEll, cap: int = TATE_CYCLE_CAP) -> TateCycleP
     of ell - 1, every other step must rise by exactly ell + 1, and the
     cycle closes up by Fermat (theta^ell and theta reduce to the same
     polynomial).  All three facts are re-verified and a violation
-    raises, since it can only mean a bug.
+    raises, since it can only mean a bug.  The solve reads the first
+    floor(k/12) + 1 coefficients of the weight-k form, and fewer raise
+    `PrecisionError`.
     """
     ell = form.prime
     if ell > cap:
         raise ValueError(
             f"cycle profiling is capped at ell <= {cap}; pass cap={ell} to override"
-        )
-    needed = sturm(form.weight + (ell - 1) * (ell + 1)) + 1
-    if form.precision < needed:
-        raise PrecisionError(
-            f"profiling a weight-{form.weight} form mod {ell} needs precision "
-            f"{needed}, have {form.precision}"
         )
     start = time.perf_counter()
     base_poly, divisions = filtration_polynomial(form)

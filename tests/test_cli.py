@@ -161,18 +161,11 @@ def test_a_tilde_csv(capsys):
     assert lines[1:] == ["3,0,6", "0,2,8"]
 
 
-def test_precision_override_below_minimum_is_a_hard_error(capsys):
-    code, _, err = run(capsys, "--precision", "5", "find-congruences", "--r", "0",
-                       "--s", "-12", "--t", "1", "--ell", "17")
-    assert code == 3
-    assert "precision" in err
-
-
-def test_precision_override_above_minimum_is_accepted(capsys):
-    code, out, _ = run(capsys, "--output", "json", "--precision", "500", "filtration",
-                       "--r", "0", "--s", "-12", "--t", "1", "--ell", "17")
-    assert code == 0
-    assert json.loads(out)["filtration"] == 128
+def test_precision_is_derived_not_an_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision", "500", "filtration", "--r", "0", "--s", "-12", "--t", "1",
+              "--ell", "17"])
+    assert exc.value.code == 2
 
 
 def test_nonprime_ell_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+from pathlib import Path
 
 import pytest
 
@@ -116,11 +117,18 @@ def test_scan_rejects_composites():
         scan_prime(QuotientSpec(0, 0, 0), 9)
 
 
-def test_scan_honors_precision_floor():
-    from eiscong.series import PrecisionError
-
-    with pytest.raises(PrecisionError):
-        scan_prime(QuotientSpec(0, -12, 1), 17, precision=5)
+def test_scan_and_sweep_log_one_line_each(caplog):
+    spec = QuotientSpec(0, 1, 1)
+    with caplog.at_level(logging.INFO, logger="eiscong.scanner"):
+        scan_prime(spec, 17)
+        verify_theorem(spec, use_remark=True, sample_above=1)
+    lines = [r.getMessage() for r in caplog.records if r.name == "eiscong.scanner"]
+    assert lines[0].startswith(f"scan mod 17: {METHOD_RIGOROUS}, precision ")
+    assert lines[0].endswith(" s")
+    # primes 5 to 19 and the sample 23: one line each, then the sweep
+    assert len(lines) == 1 + 7 + 1
+    assert "scan mod 11: theta-vanishing" in lines[3]
+    assert lines[-1].startswith(f"sweep of {spec}: 7 primes from 5 to 23, 0 cache hits, 7 scanned")
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +278,22 @@ def test_warm_rerun_appends_nothing(tmp_path):
     grown = cache.path_for(spec).read_text().splitlines()
     assert grown[: len(lines)] == lines
     assert [json.loads(line) for line in grown[len(lines):]] == second.to_records()[-1:]
+
+
+def test_warm_sweep_reads_the_record_file_once(tmp_path, monkeypatch):
+    spec = QuotientSpec(0, 1, 1)
+    cache = ResultsCache(tmp_path)
+    first = verify_theorem(spec, use_remark=True, sample_above=2, cache=cache)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(scanner, "open", counting_open, raising=False)
+    second = verify_theorem(spec, use_remark=True, sample_above=2, cache=cache)
+    assert opened == [cache.path_for(spec)]
+    assert second.to_records() == first.to_records()
 
 
 def test_latest_record_wins(tmp_path):

@@ -2,7 +2,13 @@ import pytest
 from sympy import primerange
 
 from eiscong import scanner
-from eiscong.eisenstein import QuotientSpec, eisenstein_series, quotient_series, replacement_lift
+from eiscong.eisenstein import (
+    QuotientSpec,
+    eisenstein_series,
+    lift_weight,
+    quotient_series,
+    replacement_lift,
+)
 from eiscong.filtration import ModularFormModEll, sturm
 from eiscong.scanner import certificate_precision, profile_precision, scan_prime, theorem_bound
 from eiscong.series import PrecisionError, TruncatedSeries
@@ -88,6 +94,19 @@ def test_cycle_requires_enough_precision():
     form = lifted_form(EXAMPLE, 17, 10)
     with pytest.raises(PrecisionError):
         tate_cycle(form)
+
+
+@pytest.mark.parametrize(
+    "spec, ell",
+    [(EXAMPLE, 17), (QuotientSpec(1, 0, -1), 23), (QuotientSpec(0, 0, -2), 29)],
+)
+def test_cycle_runs_at_exactly_the_profile_precision(spec, ell):
+    terms = profile_precision(spec, ell)
+    assert terms == sturm(lift_weight(spec, ell)) + 1
+    profile = tate_cycle(lifted_form(spec, ell, terms))
+    assert profile == tate_cycle(lifted_form(spec, ell, 2 * terms))
+    with pytest.raises(PrecisionError):
+        tate_cycle(lifted_form(spec, ell, terms - 1))
 
 
 def test_cycle_cap():
