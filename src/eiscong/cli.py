@@ -219,6 +219,8 @@ def _cmd_tate_cycle(args) -> int:
 def _cmd_find_congruences(args) -> int:
     spec = QuotientSpec(args.r, args.s, args.t)
     ell = args.ell
+    if args.window is not None and not args.heuristic:
+        raise ValueError("--window sets the terms scanned by --heuristic only")
     if args.heuristic:
         window = args.window or max(50 * ell, 100)
         series = quotient_series(spec, ell, window)

@@ -1,10 +1,12 @@
-"""Dense linear solving over prime fields."""
+"""Dense linear solving over prime fields, on lists of Python integers.
+
+Exact for every prime: entries stay canonical residues in [0, p), so no
+machine word bounds them.
+"""
 
 from __future__ import annotations
 
 from typing import Sequence
-
-import numpy as np
 
 
 def solve_mod_prime(
@@ -12,42 +14,35 @@ def solve_mod_prime(
 ) -> list[int] | None:
     """One solution of matrix @ x = rhs over F_p, or None if inconsistent.
 
-    Gaussian elimination with partial pivoting on the first nonzero
-    entry of each column; free columns are assigned zero.
+    Forward elimination, pivoting on the first nonzero entry of each
+    column, then back-substitution; free columns are assigned zero.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols
-    dtype = np.int64 if p <= 2**31 else object
-    aug = np.zeros((rows, cols + 1), dtype=dtype)
-    for i, row in enumerate(matrix):
+    cols = len(matrix[0]) if matrix else 0
+    aug = []
+    for row, b in zip(matrix, rhs, strict=True):
         if len(row) != cols:
             raise ValueError("ragged matrix")
-        for j, x in enumerate(row):
-            aug[i, j] = x % p
-        aug[i, cols] = rhs[i] % p
+        aug.append([x % p for x in row] + [b % p])
     pivot_cols: list[int] = []
-    r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i, c] != 0), None)
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            aug[[r, pivot]] = aug[[pivot, r]]
-        inv = pow(int(aug[r, c]), -1, p)
-        aug[r] = (aug[r] * inv) % p
-        for i in range(rows):
-            if i != r and aug[i, c] != 0:
-                aug[i] = (aug[i] - int(aug[i, c]) * aug[r]) % p
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = pow(aug[r][c], -1, p)
+        head = [x * inv % p for x in aug[r][c:]]
+        aug[r][c:] = head
+        for row in aug[r + 1 :]:
+            f = row[c]
+            if f:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], head)]
         pivot_cols.append(c)
-        r += 1
-        if r == rows:
+        if len(pivot_cols) == len(aug):
             break
-    for i in range(r, rows):
-        if aug[i, cols] != 0:
-            return None
+    if any(row[cols] for row in aug[len(pivot_cols) :]):
+        return None
     x = [0] * cols
-    for i, c in enumerate(pivot_cols):
-        x[c] = int(aug[i, cols])
+    for row, c in reversed(list(zip(aug, pivot_cols))):
+        x[c] = (row[cols] - sum(a * b for a, b in zip(row[c + 1 : cols], x[c + 1 :]))) % p
     return x

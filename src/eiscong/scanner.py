@@ -412,15 +412,13 @@ def verify_table(rows=BERNDT_YEE_TABLE, terms: int = 3000) -> list[dict]:
     out = []
     for row in rows:
         series = eisenstein_power_product(row.r, row.s, row.t, row.modulus, terms)
-        checked = 0
-        for n in range(row.residue, terms, row.step):
-            value = series.coefficient(n)
-            if value:
-                raise CounterexampleError(
-                    f"table row {row.name}: coefficient of q^{n} is {value}, "
-                    f"not 0 mod {row.modulus}"
-                )
-            checked += 1
+        progression = series.extract_progression(row.residue, row.step)
+        if not progression.is_zero():
+            n = row.step * progression.valuation + row.residue
+            raise CounterexampleError(
+                f"table row {row.name}: coefficient of q^{n} is {progression.coeffs[0]}, "
+                f"not 0 mod {row.modulus}"
+            )
         out.append(
             {
                 "name": row.name,
@@ -431,7 +429,7 @@ def verify_table(rows=BERNDT_YEE_TABLE, terms: int = 3000) -> list[dict]:
                 "residue": row.residue,
                 "modulus": row.modulus,
                 "terms": terms,
-                "checked": checked,
+                "checked": progression.precision,
             }
         )
     return out

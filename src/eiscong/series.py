@@ -10,11 +10,12 @@ so any coefficient that can be read out is exact in Z/m.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Iterable, Sequence
 
-import numpy as np
-
-_INT64_LIMIT = 2**63 - 1
+#: array typecode of each slot width the machine has a C type for
+_SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 class ModulusMismatchError(ValueError):
@@ -25,23 +26,49 @@ class PrecisionError(ValueError):
     """A computation needs coefficients beyond the known window."""
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], modulus: int) -> list[int]:
-    """Exact product of coefficient windows, reduced mod modulus.
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    code = _SLOT_CODES.get(width)
+    if code:
+        data = array(code, coeffs).tobytes()
+    else:
+        data = b"".join(c.to_bytes(width, sys.byteorder) for c in coeffs)
+    return int.from_bytes(data, sys.byteorder)
 
-    Uses int64 convolution when no intermediate sum can overflow,
-    otherwise falls back to schoolbook arithmetic on Python integers.
+
+def _unpack(data: bytes, width: int, modulus: int) -> list[int]:
+    code = _SLOT_CODES.get(width)
+    if code:
+        return [c % modulus for c in memoryview(data).cast(code)]
+    return [
+        int.from_bytes(data[i : i + width], sys.byteorder) % modulus
+        for i in range(0, len(data), width)
+    ]
+
+
+def _convolve(
+    a: Sequence[int], b: Sequence[int], modulus: int, terms: int | None = None
+) -> list[int]:
+    """The first ``terms`` coefficients of the product of two windows, mod modulus.
+
+    Kronecker substitution: each window becomes one integer with a
+    byte-aligned slot per coefficient, wide enough for any coefficient of
+    the exact product, and one integer product does the convolution.
+    Slots of 1, 2, 4 or 8 bytes go through ``array``, wider ones through
+    ``int.to_bytes``.  The entries must be canonical residues in
+    [0, modulus), since a larger one could overflow its slot.
     """
     if not a or not b:
         return []
-    if min(len(a), len(b)) * (modulus - 1) ** 2 <= _INT64_LIMIT:
-        prod = np.convolve(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        return (prod % modulus).tolist()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return [c % modulus for c in out]
+    bound = min(len(a), len(b)) * (modulus - 1) ** 2
+    width = (bound.bit_length() + 7) // 8
+    if width <= 8:
+        # round up to the size of a C type, which array packs and unpacks in C
+        width = 1 << (width - 1).bit_length()
+    full = len(a) + len(b) - 1
+    keep = full if terms is None else min(terms, full)
+    product = _pack(a, width) * _pack(b, width)
+    data = product.to_bytes(full * width, sys.byteorder)[: keep * width]
+    return _unpack(data, width, modulus)
 
 
 class TruncatedSeries:
@@ -148,7 +175,7 @@ class TruncatedSeries:
         self._require_same_ring(other)
         v = self.valuation + other.valuation
         keep = min(len(self.coeffs), len(other.coeffs))
-        conv = _convolve(self.coeffs, other.coeffs, self.modulus)[:keep]
+        conv = _convolve(self.coeffs, other.coeffs, self.modulus, keep)
         return TruncatedSeries(self.modulus, conv, v)
 
     def invert(self) -> "TruncatedSeries":
@@ -174,10 +201,10 @@ class TruncatedSeries:
         g = [lead]
         while len(g) < n:
             k = min(2 * len(g), n)
-            fg = _convolve(self.coeffs[:k], g, m)[:k]
+            fg = _convolve(self.coeffs[:k], g, m, k)
             corr = [(-c) % m for c in fg]
             corr[0] = (corr[0] + 2) % m
-            g = _convolve(g, corr, m)[:k]
+            g = _convolve(g, corr, m, k)
         return TruncatedSeries(m, g, 0)
 
     def pow(self, exponent: int) -> "TruncatedSeries":

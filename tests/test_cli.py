@@ -61,6 +61,14 @@ def test_find_congruences_heuristic(capsys):
     assert payload["residues"] == [1, 2]
 
 
+def test_window_without_heuristic_is_usage_error(capsys):
+    code, out, err = run(capsys, "find-congruences", "--r", "0", "--s", "1", "--t", "1",
+                         "--ell", "19", "--window", "5")
+    assert code == 2
+    assert out == ""
+    assert "--heuristic" in err
+
+
 def test_table_and_json_agree_on_residues(capsys):
     _, table_out, _ = run(capsys, "find-congruences", "--r", "0", "--s", "-12",
                           "--t", "1", "--ell", "17")
@@ -96,6 +104,16 @@ def test_tate_cycle_command(capsys):
     payload = json.loads(out)
     assert payload["low_points"] == [9, 1]
     assert payload["falls"] == [9, 9]
+
+
+def test_package_imports_without_numpy():
+    # a fresh interpreter, so that no other test's imports are in sys.modules
+    env = {**os.environ, "PYTHONPATH": str(Path(eiscong.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, eiscong, eiscong.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_verbose_tate_cycle_logs_the_cycle_and_its_filtration():

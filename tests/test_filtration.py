@@ -35,23 +35,63 @@ def eis_product(a, b, c, ell, terms):
 # linear solver
 
 
+def check_solution(a, b, sol, p):
+    assert sol is not None
+    for row, rhs in zip(a, b):
+        assert sum(x * y for x, y in zip(row, sol)) % p == rhs
+
+
 def test_solver_solves_random_consistent_systems():
     rng = random.Random(11)
     for _ in range(40):
-        p = rng.choice([5, 7, 13, 101])
+        p = rng.choice([5, 7, 13, 101, 2**61 - 1])
         rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
         a = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
         x = [rng.randrange(p) for _ in range(cols)]
         b = [sum(a[i][j] * x[j] for j in range(cols)) % p for i in range(rows)]
+        check_solution(a, b, solve_mod_prime(a, b, p), p)
+
+
+def rank_deficient_system(rng, n, rank, p):
+    # n x n of rank at most `rank` < n: random rows, then random combinations
+    # of them; the right side is consistent, solved by the returned x
+    basis = [[rng.randrange(p) for _ in range(n)] for _ in range(rank)]
+    a = list(basis)
+    for _ in range(n - rank):
+        weights = [rng.randrange(p) for _ in basis]
+        a.append([sum(w * v[j] for w, v in zip(weights, basis)) % p for j in range(n)])
+    x = [rng.randrange(p) for _ in range(n)]
+    b = [sum(u * v for u, v in zip(row, x)) % p for row in a]
+    return a, b
+
+
+def shuffled(rng, a, b):
+    order = list(range(len(a)))
+    rng.shuffle(order)
+    return [a[i] for i in order], [b[i] for i in order]
+
+
+def test_solver_solves_rank_deficient_square_systems():
+    # up to Tate size: a cycle of (0, -12, 1) at ell = 53 makes one 41 x 41 solve
+    rng = random.Random(12)
+    for n, p in ((5, 5), (17, 13), (33, 101), (60, 53), (60, 2**61 - 1)):
+        rank = rng.randrange(n)
+        a, b = shuffled(rng, *rank_deficient_system(rng, n, rank, p))
         sol = solve_mod_prime(a, b, p)
-        assert sol is not None
-        for i in range(rows):
-            assert sum(a[i][j] * sol[j] for j in range(cols)) % p == b[i]
+        check_solution(a, b, sol, p)
+        # free columns are zero, so at most rank entries are nonzero
+        assert sum(1 for c in sol if c) <= rank
 
 
 def test_solver_detects_inconsistency():
     assert solve_mod_prime([[1, 1], [2, 2]], [1, 3], 5) is None
     assert solve_mod_prime([[0], [0]], [0, 4], 7) is None
+    rng = random.Random(13)
+    for n, p in ((4, 5), (12, 7), (30, 101), (60, 53), (60, 2**61 - 1)):
+        a, b = rank_deficient_system(rng, n, rng.randrange(n), p)
+        # the last row combines the basis rows, so its right side is forced
+        b[-1] = (b[-1] + rng.randrange(1, p)) % p
+        assert solve_mod_prime(*shuffled(rng, a, b), p) is None
 
 
 def test_solver_handles_empty_column_space():

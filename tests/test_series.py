@@ -136,6 +136,51 @@ def test_convolve_falls_back_for_huge_moduli():
     assert out == [((m - 1) * (m - 1)) % m, ((m - 1) + (m - 2) * (m - 1)) % m, (m - 2) % m]
 
 
+def schoolbook(a, b, modulus, terms=None):
+    # reference product: the quadratic loop over Python integers
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return [c % modulus for c in out][:terms]
+
+
+# slot widths: 2 -> 1 byte, 7 -> 1-2, 181 -> 2-4, 65521 -> 4-8, 2^31 - 1 -> 8
+# and wider, 3^20 -> 8 and wider, 7^12 and 2^62 -> wider than 8
+KRONECKER_MODULI = (2, 7, 181, 65521, 2**31 - 1, 7**12, 3**20, 2**62)
+
+
+@st.composite
+def convolve_case(draw):
+    m = draw(st.sampled_from(KRONECKER_MODULI))
+    # zeros and top residues exercise the windows' gaps and their slots' capacity
+    entry = st.one_of(st.just(0), st.just(m - 1), st.integers(0, m - 1))
+    a = draw(st.lists(entry, max_size=40))
+    b = draw(st.lists(entry, max_size=40))
+    full = len(a) + len(b) - 1
+    terms = draw(st.one_of(st.none(), st.integers(0, max(full + 3, 0)),
+                           st.sampled_from([full - 1, full, full + 1])))
+    return a, b, m, terms
+
+
+@settings(max_examples=400)
+@given(convolve_case())
+def test_convolve_matches_schoolbook(case):
+    a, b, m, terms = case
+    assert _convolve(a, b, m, terms) == schoolbook(a, b, m, terms)
+
+
+def test_convolve_fills_every_slot_width():
+    # all-top windows reach the slot bound exactly, at each width
+    for m in KRONECKER_MODULI:
+        for n in (1, 2, 3, 4, 9, 300):
+            a = [m - 1] * n
+            assert _convolve(a, a, m) == schoolbook(a, a, m)
+
+
 # ---------------------------------------------------------------------------
 # invert / pow
 
@@ -168,6 +213,15 @@ def test_invert_requires_valuation_zero():
 def test_pow_zero_is_one():
     f = TS(5, [2, 3, 1])
     assert f.pow(0) == TruncatedSeries.one(5, 3)
+
+
+def test_pow_precision_gains_the_valuation():
+    # known on [2, 7): f^e is known on [2e, 7 + 2(e - 1)) for e >= 1
+    f = TS(7, [3, 1, 4, 1, 5], valuation=2)
+    for e in range(1, 5):
+        assert f.pow(e).precision == f.precision + (e - 1) * f.valuation
+    # f^0 is the constant 1 on the window's length, N - v
+    assert f.pow(0).precision == f.precision - f.valuation
 
 
 def test_pow_negative_one_inverts():
