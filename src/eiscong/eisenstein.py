@@ -13,17 +13,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy import isprime
-
+from .primes import require_prime
 from .series import TruncatedSeries
 
 #: the exact integers -2k/B_k for k = 2, 4, 6
 WEIGHT_CONSTANTS = {2: -24, 4: 240, 6: -504}
-
-
-def _require_scanning_prime(ell: int) -> None:
-    if ell < 5 or not isprime(ell):
-        raise ValueError(f"ell must be a prime at least 5, got {ell}")
 
 
 def sigma(power: int, n: int) -> int:
@@ -73,7 +67,7 @@ def eisenstein_reduced(weight_offset: int, ell: int, terms: int) -> TruncatedSer
     """
     if weight_offset not in (-1, 1):
         raise ValueError("weight_offset must be -1 or +1")
-    _require_scanning_prime(ell)
+    require_prime(ell)
     if weight_offset == -1:
         return TruncatedSeries.one(ell, terms)
     return eisenstein_series(2, ell, terms)
@@ -164,7 +158,7 @@ def replacement_lift(spec: QuotientSpec, ell: int, terms: int) -> LiftedForm:
     weight (r+10)*ell + (r+4s+6t) modular forms.  Since E2 reduces to
     E_{ell+1}, the result really is the reduction of a modular form.
     """
-    _require_scanning_prime(ell)
+    require_prime(ell)
     if ell + spec.s < 0 or ell + spec.t < 0:
         raise ValueError(
             f"ell={ell} is smaller than |s|={abs(spec.s)} or |t|={abs(spec.t)}; "

@@ -28,12 +28,11 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Mapping, Sequence
-
-from sympy import isprime
+from typing import Sequence
 
 from .eisenstein import LiftedForm, eisenstein_series
 from .linalg import solve_mod_prime
+from .primes import require_prime
 from .series import PrecisionError, TruncatedSeries
 
 log = logging.getLogger(__name__)
@@ -99,8 +98,7 @@ class ModularFormModEll:
     series: TruncatedSeries
 
     def __post_init__(self):
-        if self.prime < 5 or not isprime(self.prime):
-            raise ValueError(f"prime must be at least 5, got {self.prime}")
+        require_prime(self.prime)
         if self.weight < 0 or self.weight % 2:
             raise ValueError(f"weight must be even and nonnegative, got {self.weight}")
         if self.series.modulus != self.prime:
@@ -141,14 +139,6 @@ class IsobaricPolynomial:
                 raise ValueError(f"monomial Q^{a} R^{b} has the wrong weight")
             if not 0 < c < self.prime:
                 raise ValueError("coefficients must be nonzero canonical residues")
-
-    @classmethod
-    def from_coefficients(
-        cls, prime: int, weight: int, coefficients: Mapping[tuple[int, int], int]
-    ) -> "IsobaricPolynomial":
-        items = sorted(coefficients.items(), key=lambda kv: -kv[0][0])
-        terms = tuple((a, b, c % prime) for (a, b), c in items if c % prime)
-        return cls(prime, weight, terms)
 
     @classmethod
     def from_dense(
@@ -242,8 +232,7 @@ def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None
     sol = solve_mod_prime(matrix, rhs, ell)
     if sol is None:
         return None
-    coefficients = {pair: c for (pair, _), c in zip(basis, sol)}
-    return IsobaricPolynomial.from_coefficients(ell, weight, coefficients)
+    return IsobaricPolynomial.from_dense(ell, weight, sol)
 
 
 def dense_product(
@@ -384,8 +373,7 @@ def filtration(form: ModularFormModEll) -> int:
 @lru_cache(maxsize=None)
 def compute_a_tilde(ell: int) -> IsobaricPolynomial:
     """The weight-(ell-1) polynomial in Q, R whose value at (E4, E6) is 1 mod ell."""
-    if ell < 5 or not isprime(ell):
-        raise ValueError(f"ell must be a prime at least 5, got {ell}")
+    require_prime(ell)
     target = TruncatedSeries.one(ell, sturm(ell - 1) + 1)
     poly = represent(ModularFormModEll(ell, ell - 1, target), ell - 1)
     if poly is None:
@@ -396,8 +384,7 @@ def compute_a_tilde(ell: int) -> IsobaricPolynomial:
 @lru_cache(maxsize=None)
 def compute_b_tilde(ell: int) -> IsobaricPolynomial:
     """The weight-(ell+1) polynomial in Q, R whose value at (E4, E6) is E2 mod ell."""
-    if ell < 5 or not isprime(ell):
-        raise ValueError(f"ell must be a prime at least 5, got {ell}")
+    require_prime(ell)
     target = eisenstein_series(2, ell, sturm(ell + 1) + 1)
     poly = represent(ModularFormModEll(ell, ell + 1, target), ell + 1)
     if poly is None:

@@ -16,10 +16,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import count, islice, repeat
 from pathlib import Path
-
-from sympy import isprime, nextprime, primerange
 
 from . import __version__
 from .eisenstein import (
@@ -29,6 +27,7 @@ from .eisenstein import (
     quotient_series,
 )
 from .filtration import sturm
+from .primes import is_prime, require_prime
 from .series import PrecisionError
 from .tate import (
     METHOD_BELOW_BOUND,
@@ -118,8 +117,7 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     unitriangular transform, so a class vanishes through any index on
     one side exactly when it does on the other.
     """
-    if not isprime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
+    require_prime(ell, 2)
     start = time.perf_counter()
     report = _decide_prime(spec, ell)
     log.info(
@@ -305,12 +303,8 @@ def verify_theorem(
     bound = r_bound if use_remark else t_bound
     kind = "remark" if use_remark else "theorem"
     started = datetime.now(timezone.utc).isoformat()
-    primes = [int(p) for p in primerange(5, bound + 1)]
-    above = []
-    p = bound
-    for _ in range(sample_above):
-        p = int(nextprime(p))
-        above.append(p)
+    primes = [p for p in range(5, bound + 1) if is_prime(p)]
+    above = list(islice(filter(is_prime, count(bound + 1)), sample_above))
     targets = primes + above
     on_file = {} if cache is None else cache.load(spec)
     reports = {ell: on_file[ell] for ell in targets if ell in on_file}

@@ -23,8 +23,6 @@ import math
 import time
 from dataclasses import dataclass
 
-from sympy import isprime, primefactors
-
 from .eisenstein import (
     QuotientSpec,
     quotient_q2_coefficient,
@@ -38,6 +36,7 @@ from .filtration import (
     filtration_polynomial,
     sturm,
 )
+from .primes import prime_factors, require_prime
 from .series import PrecisionError, TruncatedSeries
 
 log = logging.getLogger(__name__)
@@ -61,8 +60,7 @@ METHOD_BELOW_BOUND = "below-bound-by-size"
 
 def legendre(c: int, ell: int) -> int:
     """Legendre symbol (c | ell) by Euler's criterion."""
-    if ell < 3 or not isprime(ell):
-        raise ValueError(f"ell must be an odd prime, got {ell}")
+    require_prime(ell, 3)
     c %= ell
     if c == 0:
         return 0
@@ -310,7 +308,7 @@ def theta_vanishing_prime_candidates(
     if g == 0:
         return None
     candidates = set(SMALL_CANDIDATE_PRIMES)
-    for p in primefactors(g):
+    for p in prime_factors(g):
         if p >= 17 and theta_zero_congruences_hold(spec, p):
-            candidates.add(int(p))
+            candidates.add(p)
     return frozenset(p for p in candidates if theta_vanishes(spec, p, terms))

@@ -106,11 +106,13 @@ def test_tate_cycle_command(capsys):
     assert payload["falls"] == [9, 9]
 
 
-def test_package_imports_without_numpy():
+@pytest.mark.parametrize("module", ["numpy", "sympy"])
+def test_package_imports_without_numpy(module):
     # a fresh interpreter, so that no other test's imports are in sys.modules
     env = {**os.environ, "PYTHONPATH": str(Path(eiscong.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, eiscong, eiscong.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, eiscong, eiscong.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, check=True,
     )
     assert proc.stdout.strip() == "False"

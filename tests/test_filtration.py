@@ -302,6 +302,12 @@ def test_form_validation():
         ModularFormModEll(7, 4, TruncatedSeries.one(5, 3))
 
 
+@pytest.mark.parametrize("modulus", [9, 25, 3])
+def test_form_rejects_a_modulus_that_is_not_a_prime_at_least_5(modulus):
+    with pytest.raises(ValueError, match="must be a prime"):
+        ModularFormModEll(modulus, 4, TruncatedSeries.one(modulus, 3))
+
+
 def test_form_from_lift_keeps_the_weight():
     lifted = replacement_lift(QuotientSpec(0, -12, 1), 17, 12)
     form = ModularFormModEll.from_lift(lifted)
