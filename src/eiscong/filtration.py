@@ -15,10 +15,11 @@ division lowers the weight by ell - 1.  Theta acts on polynomials by
 with B~ the weight ell + 1 polynomial with value E2 (Ramanujan's
 identities, made isobaric by the factor A~).
 
-Polynomials are stored densely: a weight-k polynomial is the list of
-its coefficients on Q^(a0 - 3j) R^(b0 + 2j), j = 0, 1, ..., with b0 in
-{0, 1} fixed by k mod 4 (see `dense_layout`), so division by A~ is long
-division of coefficient lists.
+`IsobaricPolynomial` has one format, dense: a weight-k polynomial is
+the tuple of its coefficients on Q^(a0 - 3j) R^(b0 + 2j), j = 0, 1, ...,
+with b0 in {0, 1} fixed by k mod 4 (see `dense_layout`).  A product is
+one Kronecker product of coefficient lists (`series._convolve`), and
+division by A~ is long division of coefficient lists.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Sequence
 from .eisenstein import LiftedForm, eisenstein_series
 from .linalg import solve_mod_prime
 from .primes import require_prime
-from .series import PrecisionError, TruncatedSeries
+from .series import PrecisionError, TruncatedSeries, _convolve
 
 log = logging.getLogger(__name__)
 
@@ -125,59 +126,78 @@ class ModularFormModEll:
 class IsobaricPolynomial:
     """A weight-homogeneous polynomial in Q (weight 4) and R (weight 6) over F_ell.
 
-    terms is a tuple of (a, b, coefficient) with 4a + 6b = weight, in
-    descending-a order, zero coefficients dropped.
+    coeffs holds one canonical residue per monomial of the weight, on its
+    dense layout: entry j is the coefficient of Q^(a0 - 3j) R^(b0 + 2j),
+    see `dense_layout`.
     """
 
     prime: int
     weight: int
-    terms: tuple[tuple[int, int, int], ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        for a, b, c in self.terms:
-            if 4 * a + 6 * b != self.weight:
-                raise ValueError(f"monomial Q^{a} R^{b} has the wrong weight")
-            if not 0 < c < self.prime:
-                raise ValueError("coefficients must be nonzero canonical residues")
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        length = dense_layout(self.weight)[2]
+        if len(self.coeffs) != length:
+            raise ValueError(
+                f"weight {self.weight} has {length} monomials, got {len(self.coeffs)} coefficients"
+            )
+        if not all(isinstance(c, int) and 0 <= c < self.prime for c in self.coeffs):
+            raise ValueError("coefficients must be canonical residues")
 
     @classmethod
     def from_dense(
         cls, prime: int, weight: int, coeffs: Sequence[int]
     ) -> "IsobaricPolynomial":
-        """The polynomial with the given coefficients on the dense layout of its weight."""
-        a0, b0, _ = dense_layout(weight)
-        terms = tuple(
-            (a0 - 3 * j, b0 + 2 * j, c % prime) for j, c in enumerate(coeffs) if c % prime
-        )
-        return cls(prime, weight, terms)
+        """The polynomial with the given coefficients, reduced mod the prime."""
+        return cls(prime, weight, tuple(c % prime for c in coeffs))
 
-    def dense(self) -> list[int]:
-        """The coefficients on the dense layout of the weight (see `dense_layout`)."""
-        _, b0, length = dense_layout(self.weight)
-        out = [0] * length
-        for _, b, c in self.terms:
-            out[(b - b0) // 2] = c
-        return out
+    @property
+    def terms(self) -> tuple[tuple[int, int, int], ...]:
+        """(a, b, coefficient) of each nonzero monomial Q^a R^b, in descending-a order."""
+        a0, b0, _ = dense_layout(self.weight)
+        return tuple((a0 - 3 * j, b0 + 2 * j, c) for j, c in enumerate(self.coeffs) if c)
 
     def theta(self) -> "IsobaricPolynomial":
-        """The polynomial of the theta image, of weight weight + prime + 1."""
-        coeffs = dense_theta(self.prime, self.weight, self.dense())
-        return IsobaricPolynomial.from_dense(self.prime, self.weight + self.prime + 1, coeffs)
+        """The polynomial of the theta image, of weight weight + prime + 1.
+
+        12 theta(F) = k B~ F - A~ D with D = 4R dF/dQ + 6Q^2 dF/dR, which
+        has weight k + 2.
+        """
+        ell, weight = self.prime, self.weight
+        a0, b0, _ = dense_layout(weight)
+        h = [0, *self.coeffs, 0]  # h[j + 1] is the coefficient of Q^(a0 - 3j) R^(b0 + 2j)
+        if b0 == 0:
+            # Q^(a0-3j) R^(2j) gives Q^(a0-1-3j) R^(1+2j) and Q^(a0-1-3(j-1)) R^(1+2(j-1))
+            derivative = [
+                (4 * (a0 - 3 * j) * h[j + 1] + 12 * (j + 1) * h[j + 2]) % ell
+                for j in range(dense_layout(weight + 2)[2])
+            ]
+        else:
+            # Q^(a0-3j) R^(1+2j) gives Q^(a0+2-3(j+1)) R^(2(j+1)) and Q^(a0+2-3j) R^(2j)
+            derivative = [
+                (6 * (2 * j + 1) * h[j + 1] + 4 * (a0 - 3 * j + 3) * h[j]) % ell
+                for j in range(dense_layout(weight + 2)[2])
+            ]
+        kbf = dense_product(ell, ell + 1, compute_b_tilde(ell).coeffs, weight, self.coeffs)
+        ad = dense_product(ell, ell - 1, compute_a_tilde(ell).coeffs, weight + 2, derivative)
+        inv12 = pow(12, -1, ell)
+        return IsobaricPolynomial(
+            ell, weight + ell + 1, tuple((weight * x - y) * inv12 % ell for x, y in zip(kbf, ad))
+        )
 
     def strip_a_tilde(self) -> tuple["IsobaricPolynomial", int]:
         """Divide by A~ while it divides exactly; the quotient and the number of divisions.
 
-        For the polynomial of a form at any weight, the quotient sits at
-        the form's filtration.
+        By Swinnerton-Dyer, for the polynomial of a nonzero form at any
+        weight the quotient sits at the form's filtration.
         """
-        weight, coeffs, count = dense_strip_a_tilde(self.prime, self.weight, self.dense())
-        return IsobaricPolynomial.from_dense(self.prime, weight, coeffs), count
-
-    def coefficient(self, a: int, b: int) -> int:
-        for aa, bb, c in self.terms:
-            if (aa, bb) == (a, b):
-                return c
-        return 0
+        ell = self.prime
+        a_tilde = compute_a_tilde(ell).coeffs
+        poly, count = self, 0
+        while (q := dense_quotient(ell, poly.weight, poly.coeffs, ell - 1, a_tilde)) is not None:
+            poly, count = IsobaricPolynomial(ell, poly.weight - (ell - 1), q), count + 1
+        return poly, count
 
     def evaluate(self, terms_count: int) -> TruncatedSeries:
         """Substitute Q -> E4 and R -> E6 and expand mod the prime."""
@@ -238,17 +258,14 @@ def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None
 def dense_product(
     ell: int, weight1: int, f: Sequence[int], weight2: int, g: Sequence[int]
 ) -> list[int]:
-    """Dense coefficients mod ell of the product of dense polynomials of the two weights."""
+    """Dense coefficients mod ell of the product of dense polynomials of the two weights.
+
+    The entries of f and g must be canonical residues (see `_convolve`).
+    """
     # R^2 = Q^3 * (R^2 / Q^3): two odd R-exponents move every index up by one
     shift = dense_layout(weight1)[1] & dense_layout(weight2)[1]
-    out = [0] * dense_layout(weight1 + weight2)[2]
-    if len(g) > len(f):
-        f, g = g, f
-    width = len(f)
-    for j, c in enumerate(g, start=shift):
-        if c:
-            out[j : j + width] = [x + c * y for x, y in zip(out[j : j + width], f)]
-    return [x % ell for x in out]
+    out = [0] * shift + _convolve(f, g, ell)
+    return out + [0] * (dense_layout(weight1 + weight2)[2] - len(out))
 
 
 def dense_quotient(
@@ -285,48 +302,6 @@ def dense_quotient(
             return None
     q = q[: min(size, length)]
     return q + [0] * (length - len(q))
-
-
-def dense_theta(ell: int, weight: int, f: Sequence[int]) -> list[int]:
-    """Dense coefficients of theta(F) for a dense weight-`weight` F, at weight + ell + 1.
-
-    12 theta(F) = k B~ F - A~ D with D = 4R dF/dQ + 6Q^2 dF/dR, which has
-    weight k + 2.
-    """
-    a0, b0, _ = dense_layout(weight)
-    h = [0, *f, 0]  # h[j + 1] is the coefficient of Q^(a0 - 3j) R^(b0 + 2j)
-    if b0 == 0:
-        # Q^(a0-3j) R^(2j) gives Q^(a0-1-3j) R^(1+2j) and Q^(a0-1-3(j-1)) R^(1+2(j-1))
-        derivative = [
-            4 * (a0 - 3 * j) * h[j + 1] + 12 * (j + 1) * h[j + 2]
-            for j in range(dense_layout(weight + 2)[2])
-        ]
-    else:
-        # Q^(a0-3j) R^(1+2j) gives Q^(a0+2-3(j+1)) R^(2(j+1)) and Q^(a0+2-3j) R^(2j)
-        derivative = [
-            6 * (2 * j + 1) * h[j + 1] + 4 * (a0 - 3 * j + 3) * h[j]
-            for j in range(dense_layout(weight + 2)[2])
-        ]
-    kbf = dense_product(ell, ell + 1, compute_b_tilde(ell).dense(), weight, f)
-    ad = dense_product(ell, ell - 1, compute_a_tilde(ell).dense(), weight + 2, derivative)
-    inv12 = pow(12, -1, ell)
-    return [(weight * x - y) * inv12 % ell for x, y in zip(kbf, ad)]
-
-
-def dense_strip_a_tilde(
-    ell: int, weight: int, f: Sequence[int]
-) -> tuple[int, list[int], int]:
-    """Divide a dense polynomial by A~ while it divides exactly.
-
-    Returns the weight reached, its dense coefficients and the number of
-    divisions.  By Swinnerton-Dyer the weight reached is the filtration
-    when f is the polynomial of a nonzero form.
-    """
-    a_tilde = compute_a_tilde(ell).dense()
-    coeffs, count = list(f), 0
-    while (q := dense_quotient(ell, weight, coeffs, ell - 1, a_tilde)) is not None:
-        weight, coeffs, count = weight - (ell - 1), q, count + 1
-    return weight, coeffs, count
 
 
 def filtration_polynomial(form: ModularFormModEll) -> tuple[IsobaricPolynomial, int]:

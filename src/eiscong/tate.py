@@ -11,9 +11,10 @@ c, through the Sturm index floor((k + (ell+1)^2/2)/12): one scan of
 the coefficients, with no theta applied.
 
 Tate cycles (Jochnowitz 1982) are profiled on polynomials in Q, R over
-F_ell: one solve writes the form at its tagged weight, and from there
-theta, the filtration of each iterate (division by A~) and the Fermat
-closure are polynomial arithmetic, see `eiscong.filtration`.
+F_ell (`IsobaricPolynomial`): one solve writes the form at its tagged
+weight, and from there each step is `theta().strip_a_tilde()`, whose
+weight is the filtration of the iterate, and the Fermat closure is an
+equality of polynomials; see `eiscong.filtration`.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from .eisenstein import (
     quotient_q_coefficient,
     quotient_series,
 )
-from .filtration import (
-    ModularFormModEll,
-    dense_strip_a_tilde,
-    dense_theta,
-    filtration_polynomial,
-    sturm,
-)
+from .filtration import IsobaricPolynomial, ModularFormModEll, filtration_polynomial, sturm
 from .primes import prime_factors, require_prime
 from .series import PrecisionError, TruncatedSeries
 
@@ -121,26 +116,24 @@ def tate_cycle(form: ModularFormModEll, cap: int = TATE_CYCLE_CAP) -> TateCycleP
     base_poly, divisions = filtration_polynomial(form)
     base = base_poly.weight
 
-    def theta_step(weight: int, coeffs: list[int]) -> tuple[int, list[int]]:
+    def theta_step(poly: IsobaricPolynomial) -> IsobaricPolynomial:
         nonlocal divisions
-        lowered, coeffs, count = dense_strip_a_tilde(
-            ell, weight + ell + 1, dense_theta(ell, weight, coeffs)
-        )
+        lowered, count = poly.theta().strip_a_tilde()
         divisions += count
-        return lowered, coeffs
+        return lowered
 
-    first = theta_step(base, base_poly.dense())
-    if not any(first[1]):
+    first = theta_step(base_poly)
+    if not any(first.coeffs):
         raise ValueError(
             "theta kills this form mod ell; the cycle is trivial and every "
             "nonzero residue carries a congruence"
         )
     iterate = first
-    filts = [first[0]]
+    filts = [first.weight]
     for _ in range(2, ell):
-        iterate = theta_step(*iterate)
-        filts.append(iterate[0])
-    if theta_step(*iterate) != first:
+        iterate = theta_step(iterate)
+        filts.append(iterate.weight)
+    if theta_step(iterate) != first:
         raise RuntimeError("theta iterates fail to close up after ell steps")
     if base % ell and filts[0] != base + ell + 1:
         raise RuntimeError("first theta step must rise by ell + 1")

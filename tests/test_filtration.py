@@ -289,8 +289,34 @@ def test_b_tilde_evaluates_to_e2():
 
 
 def test_isobaric_polynomial_validates_weights():
+    # weight 12 has two monomials, Q^3 and R^2
     with pytest.raises(ValueError):
-        IsobaricPolynomial(13, 12, ((1, 1, 1),))
+        IsobaricPolynomial(13, 12, (1,))
+
+
+def test_isobaric_polynomial_rejects_the_states_sparse_terms_allowed():
+    # Q^-1 R at weight 2, which has no monomial
+    with pytest.raises(ValueError):
+        IsobaricPolynomial(5, 2, ((-1, 1, 1),))
+    with pytest.raises(ValueError):
+        IsobaricPolynomial(5, 2, (1,))
+    # a third coefficient at weight 12 would sit on Q^-3 R^4
+    with pytest.raises(ValueError):
+        IsobaricPolynomial.from_dense(5, 12, [1, 2, 3])
+    # duplicate or unsorted monomials: sparse triples are not coefficients
+    with pytest.raises(ValueError):
+        IsobaricPolynomial(5, 12, ((3, 0, 1), (3, 0, 2)))
+    with pytest.raises(ValueError):
+        IsobaricPolynomial(5, 12, ((0, 2, 1), (3, 0, 1)))
+    # coefficients must be canonical residues
+    for coeffs in ((5, 1), (-1, 1), (1.0, 1)):
+        with pytest.raises(ValueError):
+            IsobaricPolynomial(5, 12, coeffs)
+    # one layout per weight, so equal polynomials compare equal
+    poly = IsobaricPolynomial.from_dense(5, 12, [6, -4])
+    assert poly == IsobaricPolynomial(5, 12, (1, 1))
+    assert poly.terms == ((3, 0, 1), (0, 2, 1))
+    assert str(IsobaricPolynomial(5, 2, ())) == "0"
 
 
 def test_form_validation():

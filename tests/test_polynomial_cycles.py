@@ -3,10 +3,12 @@
 The series-based `filtration` and `tate_cycle` that the polynomial path
 replaced are kept here as references: the filtration by a descending
 ladder of solves, the cycle by theta on q-series and one ladder per
-iterate.
+iterate.  The schoolbook product of dense polynomials is kept as the
+reference for `dense_product`, which is one Kronecker product.
 """
 
 import logging
+import random
 
 import pytest
 from sympy import primerange
@@ -195,47 +197,85 @@ def test_polynomial_theta_evaluates_to_the_series_theta(ell):
 
 
 def test_theta_of_a_constant_is_zero():
-    assert IsobaricPolynomial(13, 0, ((0, 0, 1),)).theta().terms == ()
+    assert IsobaricPolynomial(13, 0, (1,)).theta().terms == ()
 
 
 def test_dense_round_trip():
     poly = compute_a_tilde(37)
     a0, b0, length = dense_layout(poly.weight)
-    assert len(poly.dense()) == length
-    assert IsobaricPolynomial.from_dense(37, poly.weight, poly.dense()) == poly
+    coeffs = [0] * length
+    for a, b, c in poly.terms:
+        assert a == a0 - 3 * ((b - b0) // 2)
+        coeffs[(b - b0) // 2] = c
+    assert IsobaricPolynomial.from_dense(37, poly.weight, coeffs) == poly
     assert (a0, b0) == (9, 0)
+
+
+# dense layouts: weight 12 is (Q^3, R^2), weight 14 (Q^2 R,), weight 18
+# (Q^3 R, R^3), weight 6 (R,) and weight 0 (1,)
 
 
 def test_a_tilde_is_q_at_5_and_divides_only_multiples_of_q():
     # Q^2 R: two divisions leave R, which is prime to Q
-    poly = IsobaricPolynomial(5, 14, ((2, 1, 3),))
-    assert poly.strip_a_tilde() == (IsobaricPolynomial(5, 6, ((0, 1, 3),)), 2)
+    poly = IsobaricPolynomial(5, 14, (3,))
+    assert poly.strip_a_tilde() == (IsobaricPolynomial(5, 6, (3,)), 2)
     # R^2 + Q^3 at weight 12: R^2 is prime to Q
-    poly = IsobaricPolynomial(5, 12, ((3, 0, 1), (0, 2, 1)))
+    poly = IsobaricPolynomial(5, 12, (1, 1))
     assert poly.strip_a_tilde() == (poly, 0)
     # Q^3 alone: three divisions down to the constant
-    cube = IsobaricPolynomial(5, 12, ((3, 0, 2),))
-    assert cube.strip_a_tilde() == (IsobaricPolynomial(5, 0, ((0, 0, 2),)), 3)
+    cube = IsobaricPolynomial(5, 12, (2, 0))
+    assert cube.strip_a_tilde() == (IsobaricPolynomial(5, 0, (2,)), 3)
 
 
 def test_a_tilde_is_r_at_7_and_divides_only_multiples_of_r():
     # R^3 = R * R^2, even and odd R-exponents on the way down
-    poly = IsobaricPolynomial(7, 18, ((0, 3, 4),))
-    assert poly.strip_a_tilde() == (IsobaricPolynomial(7, 0, ((0, 0, 4),)), 3)
+    poly = IsobaricPolynomial(7, 18, (0, 4))
+    assert poly.strip_a_tilde() == (IsobaricPolynomial(7, 0, (4,)), 3)
     # Q^3 R + R^3 = R (Q^3 + R^2): one division, and Q^3 + R^2 is prime to R
-    poly = IsobaricPolynomial(7, 18, ((3, 1, 1), (0, 3, 1)))
-    assert poly.strip_a_tilde() == (IsobaricPolynomial(7, 12, ((3, 0, 1), (0, 2, 1))), 1)
+    poly = IsobaricPolynomial(7, 18, (1, 1))
+    assert poly.strip_a_tilde() == (IsobaricPolynomial(7, 12, (1, 1)), 1)
     # Q^3 + R^2 itself is not divisible by R
-    poly = IsobaricPolynomial(7, 12, ((3, 0, 1), (0, 2, 1)))
+    poly = IsobaricPolynomial(7, 12, (1, 1))
     assert poly.strip_a_tilde() == (poly, 0)
 
 
 def test_a_tilde_divides_its_own_powers():
     for ell in (5, 7, 11, 13, 29, 31):
         a_tilde = compute_a_tilde(ell)
-        coeffs = dense_product(ell, ell - 1, a_tilde.dense(), ell - 1, a_tilde.dense())
+        coeffs = dense_product(ell, ell - 1, a_tilde.coeffs, ell - 1, a_tilde.coeffs)
         square = IsobaricPolynomial.from_dense(ell, 2 * (ell - 1), coeffs)
-        assert square.strip_a_tilde() == (IsobaricPolynomial(ell, 0, ((0, 0, 1),)), 2)
+        assert square.strip_a_tilde() == (IsobaricPolynomial(ell, 0, (1,)), 2)
+
+
+def schoolbook_product(ell, weight1, f, weight2, g):
+    """Reference for `dense_product`: one row of the product per coefficient of g."""
+    # R^2 = Q^3 * (R^2 / Q^3): two odd R-exponents move every index up by one
+    shift = dense_layout(weight1)[1] & dense_layout(weight2)[1]
+    out = [0] * dense_layout(weight1 + weight2)[2]
+    if len(g) > len(f):
+        f, g = g, f
+    width = len(f)
+    for j, c in enumerate(g, start=shift):
+        if c:
+            out[j : j + width] = [x + c * y for x, y in zip(out[j : j + width], f)]
+    return [x % ell for x in out]
+
+
+# the Kronecker product packs coefficients in 1- and 2-byte slots at 5, 7
+# and 13, and in 2- and 4-byte slots at 101 and 199
+@pytest.mark.parametrize("ell", [5, 7, 13, 101, 199])
+def test_dense_product_matches_the_schoolbook_product(ell):
+    rng = random.Random(ell)
+    # weights 0 to 6 hold the empty layout (weight 2) and both R-parities
+    weights = list(range(0, 8, 2)) + [rng.randrange(0, 240, 2) for _ in range(30)]
+    mismatches = []
+    for w1 in weights:
+        for w2 in rng.sample(weights, 8):
+            f = [rng.randrange(ell) for _ in range(dense_layout(w1)[2])]
+            g = [rng.randrange(ell) for _ in range(dense_layout(w2)[2])]
+            if dense_product(ell, w1, f, w2, g) != schoolbook_product(ell, w1, f, w2, g):
+                mismatches.append((w1, w2))
+    assert mismatches == []
 
 
 def test_filtration_polynomial_sits_at_the_filtration():
