@@ -18,8 +18,10 @@ identities, made isobaric by the factor A~).
 `IsobaricPolynomial` has one format, dense: a weight-k polynomial is
 the tuple of its coefficients on Q^(a0 - 3j) R^(b0 + 2j), j = 0, 1, ...,
 with b0 in {0, 1} fixed by k mod 4 (see `dense_layout`).  A product is
-one Kronecker product of coefficient lists (`series._convolve`), and
-division by A~ is long division of coefficient lists.
+one Kronecker product of coefficient lists (`series._convolve`).  Since
+R^2 never divides A~, division by A~ reads each quotient coefficient off
+from the lowest R-exponent up, and one product with A~ checks that the
+division is exact.
 """
 
 from __future__ import annotations
@@ -136,6 +138,7 @@ class IsobaricPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
+        require_prime(self.prime)
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         length = dense_layout(self.weight)[2]
         if len(self.coeffs) != length:
@@ -166,19 +169,14 @@ class IsobaricPolynomial:
         """
         ell, weight = self.prime, self.weight
         a0, b0, _ = dense_layout(weight)
-        h = [0, *self.coeffs, 0]  # h[j + 1] is the coefficient of Q^(a0 - 3j) R^(b0 + 2j)
-        if b0 == 0:
-            # Q^(a0-3j) R^(2j) gives Q^(a0-1-3j) R^(1+2j) and Q^(a0-1-3(j-1)) R^(1+2(j-1))
-            derivative = [
-                (4 * (a0 - 3 * j) * h[j + 1] + 12 * (j + 1) * h[j + 2]) % ell
-                for j in range(dense_layout(weight + 2)[2])
-            ]
-        else:
-            # Q^(a0-3j) R^(1+2j) gives Q^(a0+2-3(j+1)) R^(2(j+1)) and Q^(a0+2-3j) R^(2j)
-            derivative = [
-                (6 * (2 * j + 1) * h[j + 1] + 4 * (a0 - 3 * j + 3) * h[j]) % ell
-                for j in range(dense_layout(weight + 2)[2])
-            ]
+        # entry j of D takes Q^(a0 - 3i) R^(b0 + 2i) from i = j - b0 (4R dF/dQ)
+        # and i = j + 1 - b0 (6Q^2 dF/dR); h[i + 1] is coefficient i, 0 outside
+        h = [0, *self.coeffs, 0]
+        derivative = [
+            (4 * (a0 - 3 * (j - b0)) * h[j + 1 - b0] + (12 * (j + 1) - 6 * b0) * h[j + 2 - b0])
+            % ell
+            for j in range(dense_layout(weight + 2)[2])
+        ]
         kbf = dense_product(ell, ell + 1, compute_b_tilde(ell).coeffs, weight, self.coeffs)
         ad = dense_product(ell, ell - 1, compute_a_tilde(ell).coeffs, weight + 2, derivative)
         inv12 = pow(12, -1, ell)
@@ -189,14 +187,29 @@ class IsobaricPolynomial:
     def strip_a_tilde(self) -> tuple["IsobaricPolynomial", int]:
         """Divide by A~ while it divides exactly; the quotient and the number of divisions.
 
-        By Swinnerton-Dyer, for the polynomial of a nonzero form at any
-        weight the quotient sits at the form's filtration.
+        On its dense layout a polynomial is Q^a0 R^b0 times a polynomial in
+        x = R^2 / Q^3.  A~'s constant term in x is a unit (R^2 never divides
+        A~), so the only possible quotient is read off coefficient by
+        coefficient from the lowest R-exponent up, on the quotient weight's
+        layout; A~ divides exactly when that candidate times A~ gives the
+        polynomial back.  By Swinnerton-Dyer, for the polynomial of a nonzero
+        form at any weight the quotient sits at the form's filtration.
         """
         ell = self.prime
-        a_tilde = compute_a_tilde(ell).coeffs
+        d = compute_a_tilde(ell).coeffs
+        top, inv = len(d) - 1, pow(d[0], -1, ell)
+        high = d[:0:-1]  # d[top], ..., d[1]
         poly, count = self, 0
-        while (q := dense_quotient(ell, poly.weight, poly.coeffs, ell - 1, a_tilde)) is not None:
-            poly, count = IsobaricPolynomial(ell, poly.weight - (ell - 1), q), count + 1
+        while (weight := poly.weight - (ell - 1)) >= 0:
+            _, b0, length = dense_layout(weight)
+            f = poly.coeffs[b0 & dense_layout(ell - 1)[1] :]
+            q = [0] * top  # q[top + n] is the quotient's coefficient n
+            for n in range(length):
+                q.append((f[n] - sum(map(mul, q[n : n + top], high))) * inv % ell)
+            q = tuple(q[top:])
+            if tuple(dense_product(ell, weight, q, ell - 1, d)) != poly.coeffs:
+                break
+            poly, count = IsobaricPolynomial(ell, weight, q), count + 1
         return poly, count
 
     def evaluate(self, terms_count: int) -> TruncatedSeries:
@@ -266,42 +279,6 @@ def dense_product(
     shift = dense_layout(weight1)[1] & dense_layout(weight2)[1]
     out = [0] * shift + _convolve(f, g, ell)
     return out + [0] * (dense_layout(weight1 + weight2)[2] - len(out))
-
-
-def dense_quotient(
-    ell: int, weight: int, f: Sequence[int], divisor_weight: int, d: Sequence[int]
-) -> list[int] | None:
-    """f / d for dense polynomials over F_ell, or None unless d divides f exactly.
-
-    Long division from the highest R-exponent down; d must be nonzero.
-    A quotient coefficient outside the dense layout of the quotient's
-    weight (a negative power of Q) means d does not divide f.
-    """
-    quotient_weight = weight - divisor_weight
-    if quotient_weight < 0:
-        return None
-    _, b0, length = dense_layout(quotient_weight)
-    shift = b0 & dense_layout(divisor_weight)[1]
-    if any(c % ell for c in f[:shift]):
-        return None
-    g = f[shift:]
-    top = max(i for i, c in enumerate(d) if c % ell)
-    inv = pow(d[top], -1, ell)
-    low = d[:top][::-1]
-    size = max(len(g) - top, 0)
-    q = [0] * (size + top)
-    for i in reversed(range(size)):
-        c = (g[i + top] - sum(map(mul, q[i + 1 : i + 1 + top], low))) * inv % ell
-        if c:
-            if i >= length:
-                return None
-            q[i] = c
-    # the coefficients below the divisor's top are the remainder's
-    for n in range(min(top, len(g))):
-        if (g[n] - sum(q[n - t] * d[t] for t in range(n + 1))) % ell:
-            return None
-    q = q[: min(size, length)]
-    return q + [0] * (length - len(q))
 
 
 def filtration_polynomial(form: ModularFormModEll) -> tuple[IsobaricPolynomial, int]:

@@ -332,6 +332,8 @@ def test_form_validation():
 def test_form_rejects_a_modulus_that_is_not_a_prime_at_least_5(modulus):
     with pytest.raises(ValueError, match="must be a prime"):
         ModularFormModEll(modulus, 4, TruncatedSeries.one(modulus, 3))
+    with pytest.raises(ValueError, match="must be a prime"):
+        IsobaricPolynomial(modulus, 0, (1,))
 
 
 def test_form_from_lift_keeps_the_weight():

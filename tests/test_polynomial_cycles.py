@@ -4,11 +4,15 @@ The series-based `filtration` and `tate_cycle` that the polynomial path
 replaced are kept here as references: the filtration by a descending
 ladder of solves, the cycle by theta on q-series and one ladder per
 iterate.  The schoolbook product of dense polynomials is kept as the
-reference for `dense_product`, which is one Kronecker product.
+reference for `dense_product`, which is one Kronecker product, and the
+long division `dense_quotient` (from the highest R-exponent down) as the
+reference for `strip_a_tilde`, which divides from the lowest up.
 """
 
 import logging
 import random
+from operator import mul
+from typing import Sequence
 
 import pytest
 from sympy import primerange
@@ -276,6 +280,88 @@ def test_dense_product_matches_the_schoolbook_product(ell):
             if dense_product(ell, w1, f, w2, g) != schoolbook_product(ell, w1, f, w2, g):
                 mismatches.append((w1, w2))
     assert mismatches == []
+
+
+def dense_quotient(
+    ell: int, weight: int, f: Sequence[int], divisor_weight: int, d: Sequence[int]
+) -> list[int] | None:
+    """f / d for dense polynomials over F_ell, or None unless d divides f exactly.
+
+    Long division from the highest R-exponent down; d must be nonzero.
+    A quotient coefficient outside the dense layout of the quotient's
+    weight (a negative power of Q) means d does not divide f.
+    """
+    quotient_weight = weight - divisor_weight
+    if quotient_weight < 0:
+        return None
+    _, b0, length = dense_layout(quotient_weight)
+    shift = b0 & dense_layout(divisor_weight)[1]
+    if any(c % ell for c in f[:shift]):
+        return None
+    g = f[shift:]
+    top = max(i for i, c in enumerate(d) if c % ell)
+    inv = pow(d[top], -1, ell)
+    low = d[:top][::-1]
+    size = max(len(g) - top, 0)
+    q = [0] * (size + top)
+    for i in reversed(range(size)):
+        c = (g[i + top] - sum(map(mul, q[i + 1 : i + 1 + top], low))) * inv % ell
+        if c:
+            if i >= length:
+                return None
+            q[i] = c
+    # the coefficients below the divisor's top are the remainder's
+    for n in range(min(top, len(g))):
+        if (g[n] - sum(q[n - t] * d[t] for t in range(n + 1))) % ell:
+            return None
+    q = q[: min(size, length)]
+    return q + [0] * (length - len(q))
+
+
+def long_division_strip(poly):
+    """Reference for `strip_a_tilde`: `dense_quotient` by A~ while it divides."""
+    ell = poly.prime
+    a_tilde = compute_a_tilde(ell).coeffs
+    count = 0
+    while (q := dense_quotient(ell, poly.weight, poly.coeffs, ell - 1, a_tilde)) is not None:
+        poly, count = IsobaricPolynomial(ell, poly.weight - (ell - 1), q), count + 1
+    return poly, count
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 101, 199])
+def test_strip_a_tilde_matches_long_division(ell):
+    rng = random.Random(ell)
+    a_tilde = compute_a_tilde(ell)
+
+    def rand(weight):
+        coeffs = [rng.randrange(ell) for _ in range(dense_layout(weight)[2])]
+        return IsobaricPolynomial(ell, weight, tuple(coeffs))
+
+    # weights 0 to 6 hold the empty layout (weight 2) and both R-parities;
+    # ell + 1 divides down to weight 2, whose quotient layout is empty
+    weights = [0, 2, 4, 6, ell - 1, ell + 1] + [rng.randrange(0, 240, 2) for _ in range(12)]
+    polys = [rand(w) for w in weights]
+    polys += [IsobaricPolynomial(ell, w, (0,) * dense_layout(w)[2]) for w in weights]
+    for k in range(4):
+        for w in weights[:4] + weights[-4:]:
+            poly = rand(w)
+            for _ in range(k):
+                coeffs = dense_product(ell, poly.weight, poly.coeffs, ell - 1, a_tilde.coeffs)
+                poly = IsobaricPolynomial(ell, poly.weight + ell - 1, tuple(coeffs))
+            polys.append(poly)
+    assert {poly.weight % 4 for poly in polys} == {0, 2}
+    mismatches = [
+        (poly.weight, poly.coeffs)
+        for poly in polys
+        if poly.strip_a_tilde() != long_division_strip(poly)
+    ]
+    assert mismatches == []
+
+
+def test_a_tilde_has_a_unit_coefficient_at_the_lowest_r_exponent():
+    # strip_a_tilde pivots on it: R^2 never divides A~
+    primes = primerange(5, TATE_CYCLE_CAP + 1)
+    assert [ell for ell in primes if compute_a_tilde(ell).coeffs[0] == 0] == []
 
 
 def test_filtration_polynomial_sits_at_the_filtration():
