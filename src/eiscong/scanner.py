@@ -44,6 +44,8 @@ from .tate import (
 log = logging.getLogger(__name__)
 
 RESULTS_DIR_ENV = "EISCONG_RESULTS_DIR"
+#: terms of the quotient the certificate scan reads first; it doubles while undecided
+FIRST_WINDOW = 16
 RECORD_FIELDS = (
     "r", "s", "t", "ell", "method", "residues", "weight", "precision", "bound", "version",
 )
@@ -104,7 +106,7 @@ def profile_precision(spec: QuotientSpec, ell: int) -> int:
 
 
 def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
-    """Full congruence analysis of one prime, at `certificate_precision`.
+    """Full congruence analysis of one prime, certified to `certificate_precision`.
 
     Primes 2 and 3 are trivial (every series involved reduces to 1) and
     reported without analysis.  A prime smaller than |s| or |t| admits
@@ -116,31 +118,50 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     ell, which maps each residue class of exponents to itself by a
     unitriangular transform, so a class vanishes through any index on
     one side exactly when it does on the other.
+
+    The quotient is expanded to `FIRST_WINDOW` terms, and the window
+    doubles, up to `certificate_precision`, while the scan is undecided.
+    A nonzero a(n) in both quadratic classes settles "no congruence"
+    on a short prefix; a theta-killed or congruence-carrying prime
+    reads the whole Sturm range.  The report's precision is always
+    `certificate_precision`, the window the certificate stands on; the
+    log line also gives the window actually read.
     """
     require_prime(ell, 2)
     start = time.perf_counter()
-    report = _decide_prime(spec, ell)
+    report, window = _decide_prime(spec, ell)
     log.info(
-        "scan mod %d: %s, precision %s, %.4f s",
-        ell, report.method, report.precision, time.perf_counter() - start,
+        "scan mod %d: %s, precision %s, window %d, %.4f s",
+        ell, report.method, report.precision, window, time.perf_counter() - start,
     )
     return report
 
 
-def _decide_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
+def _decide_prime(spec: QuotientSpec, ell: int) -> tuple[CongruenceReport, int]:
+    # the report, and how many terms of the quotient were expanded for it
     if ell in (2, 3):
-        return CongruenceReport(spec, ell, METHOD_TRIVIAL_PRIME, tuple(range(1, ell)))
+        return CongruenceReport(spec, ell, METHOD_TRIVIAL_PRIME, tuple(range(1, ell))), 0
     if ell + spec.s < 0 or ell + spec.t < 0:
-        return CongruenceReport(spec, ell, METHOD_BELOW_BOUND, ())
+        return CongruenceReport(spec, ell, METHOD_BELOW_BOUND, ()), 0
     precision = certificate_precision(spec, ell)
     weight = lift_weight(spec, ell)
-    theta_kills, residues = congruence_scan(
-        quotient_series(spec, ell, precision), ell, weight
-    )
+    window = min(FIRST_WINDOW, precision)
+    while True:
+        try:
+            theta_kills, residues = congruence_scan(
+                quotient_series(spec, ell, window), ell, weight
+            )
+            break
+        except PrecisionError:
+            # the full window covers the Sturm range, so it cannot end undecided
+            if window == precision:
+                raise
+            window = min(2 * window, precision)
     if not theta_kills:
-        return CongruenceReport(
+        report = CongruenceReport(
             spec, ell, METHOD_RIGOROUS, residues, weight=weight, precision=precision
         )
+        return report, window
     if not theta_vanishes(spec, ell):
         raise PrecisionError(
             f"theta-vanishing window {THETA_WINDOW_DEFAULT} disagrees with the Sturm "
@@ -151,7 +172,7 @@ def _decide_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
             f"theta image vanishes through precision at ell={ell} but the coefficient "
             "system forbids it"
         )
-    return CongruenceReport(
+    report = CongruenceReport(
         spec,
         ell,
         METHOD_THETA_VANISHING,
@@ -159,6 +180,7 @@ def _decide_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
         weight=weight,
         precision=precision,
     )
+    return report, window
 
 
 def report_to_record(report: CongruenceReport, bound: int, version: str = __version__) -> dict:

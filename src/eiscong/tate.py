@@ -8,7 +8,9 @@ applying theta (ell+1)/2 times gives -(c|ell) times the single theta
 image.  That identity multiplies a(n) by n*(n|ell) on the left, so it
 amounts to a(n) = 0 for every n prime to ell in the quadratic class of
 c, through the Sturm index floor((k + (ell+1)^2/2)/12): one scan of
-the coefficients, with no theta applied.
+the coefficients, with no theta applied.  A nonzero a(n) in each class
+ends the scan early, so a prime without congruences is usually settled
+by the first few coefficients.
 
 Tate cycles (Jochnowitz 1982) are profiled on polynomials in Q, R over
 F_ell (`IsobaricPolynomial`): one solve writes the form at its tagged
@@ -187,13 +189,15 @@ def congruence_scan(
     form when no such a(n) is nonzero through the Sturm index of
     weight k + ell + 1.  The residues are meaningless when theta kills
     the form.
+
+    The scan is decided once both classes hold a nonzero a(n), which
+    proves that neither carries a congruence, or once the window covers
+    the whole Sturm range: a series that is exact on a shorter window
+    still decides when that happens inside it, and gives the same
+    answer as the full window.  A window that ends undecided raises
+    `PrecisionError`.
     """
     s = sturm(weight + (ell + 1) ** 2 // 2)
-    if series.precision < s + 1:
-        raise PrecisionError(
-            f"the congruence certificate at ell={ell} needs precision {s + 1}, "
-            f"have {series.precision}"
-        )
     s0 = sturm(weight + ell + 1)
     is_square = [False] * ell
     for x in range(1, ell):
@@ -208,12 +212,23 @@ def congruence_scan(
             occupied.add(is_square[n % ell])
             if len(occupied) == 2:
                 break
+    else:
+        if series.precision < s + 1:
+            raise PrecisionError(
+                f"the congruence certificate at ell={ell} needs precision {s + 1}, "
+                f"have {series.precision}, and the window does not decide it"
+            )
     residues = tuple(c for c in range(1, ell) if is_square[c] not in occupied)
     return theta_kills, residues
 
 
 def certified_residues(form: ModularFormModEll) -> tuple[int, ...]:
-    """All nonzero residues with a certified simple congruence, sorted."""
+    """All nonzero residues with a certified simple congruence, sorted.
+
+    A series that ends before the certificate's Sturm index is enough
+    when it holds a nonzero a(n), n prime to ell, in both quadratic
+    classes (then there is none); otherwise it raises `PrecisionError`.
+    """
     theta_kills, residues = congruence_scan(form.series, form.prime, form.weight)
     if theta_kills:
         raise ValueError(

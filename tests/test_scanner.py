@@ -7,7 +7,7 @@ import pytest
 
 import eiscong.scanner as scanner
 from eiscong import __version__
-from eiscong.eisenstein import QuotientSpec
+from eiscong.eisenstein import QuotientSpec, lift_weight
 from eiscong.scanner import (
     BERNDT_YEE_TABLE,
     CounterexampleError,
@@ -15,6 +15,7 @@ from eiscong.scanner import (
     ScanResult,
     TableRow,
     case_split,
+    certificate_precision,
     remark_bound,
     report_to_record,
     scan_prime,
@@ -23,11 +24,13 @@ from eiscong.scanner import (
     verify_table,
     verify_theorem,
 )
+from eiscong.series import TruncatedSeries
 from eiscong.tate import (
     METHOD_BELOW_BOUND,
     METHOD_RIGOROUS,
     METHOD_THETA_VANISHING,
     METHOD_TRIVIAL_PRIME,
+    CongruenceReport,
 )
 
 
@@ -129,6 +132,42 @@ def test_scan_and_sweep_log_one_line_each(caplog):
     assert len(lines) == 1 + 7 + 1
     assert "scan mod 11: theta-vanishing" in lines[3]
     assert lines[-1].startswith(f"sweep of {spec}: 7 primes from 5 to 23, 0 cache hits, 7 scanned")
+
+
+def test_scan_logs_the_window_it_read(caplog):
+    spec = QuotientSpec(0, -12, 1)
+    with caplog.at_level(logging.INFO, logger="eiscong.scanner"):
+        decided = scan_prime(spec, 181)
+        carrying = scan_prime(spec, 17)
+    lines = [r.getMessage() for r in caplog.records if r.name == "eiscong.scanner"]
+    # both classes hold a nonzero a(n) before n = 16; the congruences at 17
+    # need the whole Sturm range
+    assert decided.precision == certificate_precision(spec, 181) == 1529
+    assert lines[0].startswith(f"scan mod 181: {METHOD_RIGOROUS}, precision 1529, window 16, ")
+    assert carrying.precision == 26
+    assert lines[1].startswith(f"scan mod 17: {METHOD_RIGOROUS}, precision 26, window 26, ")
+
+
+def test_the_window_doubles_until_the_scan_decides(monkeypatch, caplog):
+    # a made-up expansion mod 29 whose nonzero a(n) past n = 0 are a(1), in
+    # the square class, and a(26), in the other: 16 terms leave the
+    # nonsquare class open and 32 decide that neither carries a congruence
+    spec, ell = QuotientSpec(0, -12, 1), 29
+    requested = []
+
+    def synthetic(spec, modulus, terms):
+        requested.append(terms)
+        return TruncatedSeries(modulus, [int(n in (0, 1, 26)) for n in range(terms)])
+
+    monkeypatch.setattr(scanner, "quotient_series", synthetic)
+    with caplog.at_level(logging.INFO, logger="eiscong.scanner"):
+        report = scan_prime(spec, ell)
+    assert requested == [16, 32]
+    assert report == CongruenceReport(
+        spec, ell, METHOD_RIGOROUS, (), weight=lift_weight(spec, ell),
+        precision=certificate_precision(spec, ell),
+    )
+    assert ", window 32, " in caplog.records[-1].getMessage()
 
 
 # ---------------------------------------------------------------------------

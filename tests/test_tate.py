@@ -20,6 +20,7 @@ from eiscong.tate import (
     THETA_WINDOW_DEFAULT,
     CongruenceReport,
     certified_residues,
+    congruence_scan,
     heuristic_simple_congruences,
     legendre,
     rigorous_simple_congruence,
@@ -346,3 +347,103 @@ def test_scan_keeps_the_window_guard_on_theta_vanishing(monkeypatch):
     monkeypatch.setattr(scanner, "theta_vanishes", lambda spec, ell: False)
     with pytest.raises(PrecisionError):
         scan_prime(QuotientSpec(0, 1, 1), 11)
+
+
+# ---------------------------------------------------------------------------
+# the prefix scan against the full certificate window
+
+
+def full_window_scan_prime(spec, ell):
+    """Reference scan_prime: one scan of the quotient at `certificate_precision`."""
+    if ell in (2, 3):
+        return CongruenceReport(spec, ell, METHOD_TRIVIAL_PRIME, tuple(range(1, ell)))
+    if ell + spec.s < 0 or ell + spec.t < 0:
+        return CongruenceReport(spec, ell, METHOD_BELOW_BOUND, ())
+    precision = certificate_precision(spec, ell)
+    weight = lift_weight(spec, ell)
+    theta_kills, residues = congruence_scan(
+        quotient_series(spec, ell, precision), ell, weight
+    )
+    if not theta_kills:
+        return CongruenceReport(
+            spec, ell, METHOD_RIGOROUS, residues, weight=weight, precision=precision
+        )
+    if not theta_vanishes(spec, ell):
+        raise PrecisionError(f"the window disagrees with the certificate at ell={ell}")
+    if ell >= 17 and not theta_zero_congruences_hold(spec, ell):
+        raise PrecisionError(f"the coefficient system forbids theta vanishing at ell={ell}")
+    return CongruenceReport(
+        spec, ell, METHOD_THETA_VANISHING, tuple(range(1, ell)),
+        weight=weight, precision=precision,
+    )
+
+
+PREFIX_SPECS = (
+    QuotientSpec(0, 1, 1),      # theta-vanishing at 11, congruences at 7 and 19
+    QuotientSpec(0, -12, 1),    # congruences at 17, primes 5 to 11 below |s|
+    QuotientSpec(0, 0, 0),      # theta kills the identity at every prime
+    QuotientSpec(0, -1, 0),
+    QuotientSpec(1, 0, -1),
+    QuotientSpec(2, 0, -1),
+    QuotientSpec(3, -9, 2),     # 5 and 7 below |s|
+    QuotientSpec(0, 7, -8),     # 5 and 7 below |t|
+)
+
+
+@pytest.mark.parametrize("spec", PREFIX_SPECS, ids=str)
+def test_prefix_scan_matches_the_full_window(spec):
+    bound = theorem_bound(spec)
+    primes = list(primerange(5, bound + 1)) + list(primerange(bound + 1, bound + 60))[:3]
+    assert len(primes) > 3
+    mismatches = [
+        ell for ell in primes if scan_prime(spec, ell) != full_window_scan_prime(spec, ell)
+    ]
+    assert mismatches == []
+
+
+def test_a_deciding_prefix_gives_the_full_window_answer():
+    # both quadratic classes hold a nonzero a(n) before n = 16
+    for ell in (19, 101, 127):
+        weight = lift_weight(EXAMPLE, ell)
+        full = congruence_scan(
+            quotient_series(EXAMPLE, ell, certificate_precision(EXAMPLE, ell)), ell, weight
+        )
+        assert full == (False, ())
+        assert congruence_scan(quotient_series(EXAMPLE, ell, 16), ell, weight) == full
+
+
+def test_an_undecided_prefix_raises():
+    # E4*E6 carries congruences at 19: the nonsquare class vanishes through
+    # the Sturm index 33, so 33 terms do not decide and 34 do
+    spec, ell = QuotientSpec(0, 1, 1), 19
+    weight = lift_weight(spec, ell)
+    assert sturm(weight + (ell + 1) ** 2 // 2) == 33
+    for terms in (16, 33):
+        with pytest.raises(PrecisionError):
+            congruence_scan(quotient_series(spec, ell, terms), ell, weight)
+    assert congruence_scan(quotient_series(spec, ell, 34), ell, weight) == (
+        False, (2, 3, 8, 10, 12, 13, 14, 15, 18),
+    )
+    # theta kills E4*E6 mod 11: only the whole range decides that
+    weight = lift_weight(spec, 11)
+    with pytest.raises(PrecisionError):
+        congruence_scan(quotient_series(spec, 11, 16), 11, weight)
+    assert congruence_scan(quotient_series(spec, 11, 18), 11, weight)[0] is True
+
+
+def test_primes_without_congruences_expand_sixteen_terms(monkeypatch):
+    windows = {}
+
+    def recording(spec, modulus, terms):
+        windows[modulus] = max(windows.get(modulus, 0), terms)
+        return quotient_series(spec, modulus, terms)
+
+    monkeypatch.setattr(scanner, "quotient_series", recording)
+    result = scanner.verify_theorem(EXAMPLE)
+    settled = [
+        r.ell
+        for r in result.reports + result.sampled_above
+        if r.method == METHOD_RIGOROUS and not r.residues
+    ]
+    assert len(settled) > 20
+    assert {ell: windows[ell] for ell in settled if windows[ell] > 16} == {}
