@@ -44,7 +44,7 @@ from .tate import (
 log = logging.getLogger(__name__)
 
 RESULTS_DIR_ENV = "EISCONG_RESULTS_DIR"
-#: terms of the quotient the certificate scan reads first; it doubles while undecided
+#: terms of the quotient the certificate scan reads before its whole window
 FIRST_WINDOW = 16
 RECORD_FIELDS = (
     "r", "s", "t", "ell", "method", "residues", "weight", "precision", "bound", "version",
@@ -119,8 +119,8 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     unitriangular transform, so a class vanishes through any index on
     one side exactly when it does on the other.
 
-    The quotient is expanded to `FIRST_WINDOW` terms, and the window
-    doubles, up to `certificate_precision`, while the scan is undecided.
+    The quotient is expanded to `FIRST_WINDOW` terms first, and to
+    `certificate_precision` only when those leave the scan undecided.
     A nonzero a(n) in both quadratic classes settles "no congruence"
     on a short prefix; a theta-killed or congruence-carrying prime
     reads the whole Sturm range.  The report's precision is always
@@ -146,17 +146,16 @@ def _decide_prime(spec: QuotientSpec, ell: int) -> tuple[CongruenceReport, int]:
     precision = certificate_precision(spec, ell)
     weight = lift_weight(spec, ell)
     window = min(FIRST_WINDOW, precision)
-    while True:
-        try:
-            theta_kills, residues = congruence_scan(
-                quotient_series(spec, ell, window), ell, weight
-            )
-            break
-        except PrecisionError:
-            # the full window covers the Sturm range, so it cannot end undecided
-            if window == precision:
-                raise
-            window = min(2 * window, precision)
+    try:
+        theta_kills, residues = congruence_scan(
+            quotient_series(spec, ell, window), ell, weight
+        )
+    except PrecisionError:
+        # an undecided prefix: the whole window covers the Sturm range and decides
+        window = precision
+        theta_kills, residues = congruence_scan(
+            quotient_series(spec, ell, window), ell, weight
+        )
     if not theta_kills:
         report = CongruenceReport(
             spec, ell, METHOD_RIGOROUS, residues, weight=weight, precision=precision

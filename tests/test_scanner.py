@@ -148,11 +148,12 @@ def test_scan_logs_the_window_it_read(caplog):
     assert lines[1].startswith(f"scan mod 17: {METHOD_RIGOROUS}, precision 26, window 26, ")
 
 
-def test_the_window_doubles_until_the_scan_decides(monkeypatch, caplog):
+def test_an_undecided_prefix_expands_the_whole_window_once(monkeypatch, caplog):
     # a made-up expansion mod 29 whose nonzero a(n) past n = 0 are a(1), in
     # the square class, and a(26), in the other: 16 terms leave the
-    # nonsquare class open and 32 decide that neither carries a congruence
+    # nonsquare class open, and the next expansion is the whole window
     spec, ell = QuotientSpec(0, -12, 1), 29
+    precision = certificate_precision(spec, ell)
     requested = []
 
     def synthetic(spec, modulus, terms):
@@ -162,12 +163,11 @@ def test_the_window_doubles_until_the_scan_decides(monkeypatch, caplog):
     monkeypatch.setattr(scanner, "quotient_series", synthetic)
     with caplog.at_level(logging.INFO, logger="eiscong.scanner"):
         report = scan_prime(spec, ell)
-    assert requested == [16, 32]
+    assert requested == [16, precision]
     assert report == CongruenceReport(
-        spec, ell, METHOD_RIGOROUS, (), weight=lift_weight(spec, ell),
-        precision=certificate_precision(spec, ell),
+        spec, ell, METHOD_RIGOROUS, (), weight=lift_weight(spec, ell), precision=precision
     )
-    assert ", window 32, " in caplog.records[-1].getMessage()
+    assert f", window {precision}, " in caplog.records[-1].getMessage()
 
 
 # ---------------------------------------------------------------------------
