@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from itertools import count, islice, repeat
+from functools import partial
+from itertools import count, islice
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +30,7 @@ from .eisenstein import (
 )
 from .filtration import sturm
 from .primes import is_prime, require_prime
-from .series import PrecisionError
+from .series import PrecisionError, TruncatedSeries
 from .tate import (
     METHOD_BELOW_BOUND,
     METHOD_RIGOROUS,
@@ -119,37 +121,62 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     unitriangular transform, so a class vanishes through any index on
     one side exactly when it does on the other.
 
-    The quotient is expanded to `FIRST_WINDOW` terms first, and to
-    `certificate_precision` only when those leave the scan undecided.
+    The quotient is expanded mod ell to `FIRST_WINDOW` terms first, and
+    to `certificate_precision` only when those leave the scan undecided.
     A nonzero a(n) in both quadratic classes settles "no congruence"
     on a short prefix; a theta-killed or congruence-carrying prime
     reads the whole Sturm range.  The report's precision is always
     `certificate_precision`, the window the certificate stands on; the
-    log line also gives the window actually read.
+    log line also gives the window actually read.  `verify_theorem`
+    gives the same report and log line with one first expansion shared
+    by all its primes.
     """
     require_prime(ell, 2)
+    prefix = quotient_series(spec, ell, FIRST_WINDOW) if _admits_lift(spec, ell) else None
+    return _scan(spec, prefix, ell)[0]
+
+
+def _admits_lift(spec: QuotientSpec, ell: int) -> bool:
+    # the primes that scan_prime certifies, rather than settling by their size
+    return ell >= 5 and ell + spec.s >= 0 and ell + spec.t >= 0
+
+
+def _shared_prefix(spec: QuotientSpec, primes: list[int]) -> TruncatedSeries | None:
+    # the first FIRST_WINDOW terms of the quotient modulo the product M of the
+    # primes that admit a lift; reducing mod ell | M is a ring map and every
+    # constant term is 1, so the reduction equals the expansion mod ell
+    modulus = math.prod(ell for ell in primes if _admits_lift(spec, ell))
+    return quotient_series(spec, modulus, FIRST_WINDOW) if modulus > 1 else None
+
+
+def _scan(
+    spec: QuotientSpec, prefix: TruncatedSeries | None, ell: int
+) -> tuple[CongruenceReport, int]:
+    # scan_prime's analysis and log line, from the first FIRST_WINDOW terms of
+    # the quotient modulo a multiple of ell (None where ell admits no lift);
+    # returns the report and how many terms of the quotient it read
     start = time.perf_counter()
-    report, window = _decide_prime(spec, ell)
+    report, window = _decide_prime(spec, ell, prefix)
     log.info(
         "scan mod %d: %s, precision %s, window %d, %.4f s",
         ell, report.method, report.precision, window, time.perf_counter() - start,
     )
-    return report
+    return report, window
 
 
-def _decide_prime(spec: QuotientSpec, ell: int) -> tuple[CongruenceReport, int]:
-    # the report, and how many terms of the quotient were expanded for it
+def _decide_prime(
+    spec: QuotientSpec, ell: int, prefix: TruncatedSeries | None
+) -> tuple[CongruenceReport, int]:
     if ell in (2, 3):
         return CongruenceReport(spec, ell, METHOD_TRIVIAL_PRIME, tuple(range(1, ell))), 0
-    if ell + spec.s < 0 or ell + spec.t < 0:
+    if not _admits_lift(spec, ell):
         return CongruenceReport(spec, ell, METHOD_BELOW_BOUND, ()), 0
     precision = certificate_precision(spec, ell)
     weight = lift_weight(spec, ell)
+    # a prefix at least as long as the whole window always decides
     window = min(FIRST_WINDOW, precision)
     try:
-        theta_kills, residues = congruence_scan(
-            quotient_series(spec, ell, window), ell, weight
-        )
+        theta_kills, residues = congruence_scan(prefix.change_modulus(ell), ell, weight)
     except PrecisionError:
         # an undecided prefix: the whole window covers the Sturm range and decides
         window = precision
@@ -311,13 +338,24 @@ def verify_theorem(
 ) -> ScanResult:
     """Sweep every prime from 5 to the bound, plus a sample just above it.
 
-    Every prime in range gets a full scan_prime analysis.  Primes above
-    the bound must report no congruence (the identity quotient is the
-    stated exception); a congruence there is raised as a counterexample.
-    With a cache, previously scanned primes are not recomputed: the
-    quotient's records are read once, and only the primes scanned in
-    this call are appended.
+    Every prime in range gets a full scan_prime analysis, with the same
+    report and log line.  Only the first expansion is shared: the sweep
+    expands the quotient once to `FIRST_WINDOW` terms modulo the product
+    of the primes it scans that admit a lift, and each prime reads the
+    reduction mod ell of that prefix, which equals the expansion mod
+    ell.  A prime the prefix leaves undecided is expanded mod ell to its
+    whole certificate window, as in scan_prime.  Parallel workers
+    (`jobs` > 1) receive the same prefix.
+
+    Primes above the bound must report no congruence (the identity
+    quotient is the stated exception); a congruence there is raised as
+    a counterexample.  With a cache, previously scanned primes are not
+    recomputed: the quotient's records are read once, and only the
+    primes scanned in this call are appended.  A negative
+    `sample_above` is a ValueError.
     """
+    if sample_above < 0:
+        raise ValueError(f"sample_above must be nonnegative, got {sample_above}")
     start = time.perf_counter()
     t_bound = theorem_bound(spec)
     r_bound = remark_bound(spec)
@@ -330,12 +368,17 @@ def verify_theorem(
     on_file = {} if cache is None else cache.load(spec)
     reports = {ell: on_file[ell] for ell in targets if ell in on_file}
     missing = [ell for ell in targets if ell not in reports]
+    scan = partial(_scan, spec, _shared_prefix(spec, missing))
     if jobs > 1 and len(missing) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports.update(zip(missing, pool.map(scan_prime, repeat(spec), missing)))
+            scans = list(pool.map(scan, missing))
     else:
-        for ell in missing:
-            reports[ell] = scan_prime(spec, ell)
+        scans = list(map(scan, missing))
+    reports.update((ell, report) for ell, (report, _) in zip(missing, scans))
+    # the whole window was expanded exactly where more than the prefix was read
+    windows = [window for _, window in scans]
+    by_prefix = sum(0 < window <= FIRST_WINDOW for window in windows)
+    by_window = sum(window > FIRST_WINDOW for window in windows)
     identity = (spec.r, spec.s, spec.t) == (0, 0, 0)
     if not identity:
         for ell in above:
@@ -368,9 +411,11 @@ def verify_theorem(
             )
         )
     log.info(
-        "sweep of %s: %d primes from %d to %d, %d cache hits, %d scanned, %.4f s",
+        "sweep of %s: %d primes from %d to %d, %d cache hits, %d scanned, %.4f s, "
+        "%d decided by the shared prefix, %d by the whole window",
         spec, len(targets), targets[0], targets[-1],
         len(targets) - len(missing), len(missing), time.perf_counter() - start,
+        by_prefix, by_window,
     )
     return result
 

@@ -198,3 +198,36 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_negative_sample_above_is_usage_error(capsys):
+    code, _, err = run(capsys, "verify-theorem", "--r", "0", "--s", "1", "--t", "1",
+                       "--sample-above", "-1", "--no-cache")
+    assert code == 2
+    assert "sample_above must be nonnegative, got -1" in err
+
+
+def test_successive_main_calls_share_no_state(capsys, tmp_path):
+    # successive calls in one process: no call may see another's options or errors
+    sweep = ["--results-dir", str(tmp_path), "verify-theorem", "--r", "0", "--s", "1",
+             "--t", "1"]
+    code, out, _ = run(capsys, "--output", "json", *sweep, "--remark", "--sample-above", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["bound_kind"], payload["bound"]) == ("remark", 19)
+    assert len(payload["sampled_above"]) == 1
+    code, out, _ = run(capsys, *sweep)
+    assert code == 0
+    assert out.splitlines()[0].endswith("scanned to the theorem bound 41")
+    assert out.count("above bound ell=") == 3
+    with pytest.raises(SystemExit) as exc:
+        main([*sweep, "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    code, _, err = run(capsys, *sweep, "--sample-above", "-1")
+    assert code == 2
+    assert "usage error" in err
+    code, out, err = run(capsys, *sweep, "--sample-above", "0")
+    assert (code, err) == (0, "")
+    assert "above bound" not in out
+    assert out.splitlines()[0].endswith("scanned to the theorem bound 41")

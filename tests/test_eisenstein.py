@@ -1,6 +1,10 @@
+import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from sympy import primerange
 
 from eiscong.eisenstein import (
     LiftedForm,
@@ -137,6 +141,33 @@ def test_negative_powers_work_modulo_prime_powers():
 def test_extract_progression_of_inverse_e6_mod_27():
     f = eisenstein_power_product(0, 0, -1, 27, 400)
     assert f.extract_progression(2, 3).is_zero()
+
+
+@st.composite
+def reduction_case(draw):
+    # exponents (r may be negative, as in the table's wide rows), a modulus
+    # M = prod p^e and a divisor d > 1 of M
+    exponents = (draw(st.integers(-3, 6)), draw(st.integers(-15, 15)), draw(st.integers(-15, 15)))
+    powers = draw(st.dictionaries(
+        st.sampled_from([2, 3, 5, 7, 11, 13, 17, 101, 181]), st.integers(1, 12),
+        min_size=1, max_size=6,
+    ))
+    modulus = math.prod(p**e for p, e in powers.items())
+    divisor = math.prod(p ** draw(st.integers(0, e)) for p, e in powers.items())
+    assume(divisor > 1)
+    return exponents, modulus, divisor, draw(st.integers(1, 40))
+
+
+@settings(max_examples=150)
+@given(reduction_case())
+@example(((0, -12, 1), math.prod(primerange(5, 182)), 181, 16))
+@example(((-1, 1, 0), 7**12, 49, 60))
+@example(((1, 0, -1), 3**20, 81, 60))
+def test_reduction_commutes_with_expansion(case):
+    # quotient_series(spec, m, n) is this product at the spec's exponents
+    (r, s, t), modulus, divisor, terms = case
+    wide = eisenstein_power_product(r, s, t, modulus, terms)
+    assert wide.change_modulus(divisor) == eisenstein_power_product(r, s, t, divisor, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,20 @@ def test_scan_and_sweep_log_one_line_each(caplog):
     assert lines[-1].startswith(f"sweep of {spec}: 7 primes from 5 to 23, 0 cache hits, 7 scanned")
 
 
+def test_sweep_log_counts_the_primes_the_prefix_decided(tmp_path, caplog):
+    # 5 and 7 have certificate windows inside the prefix; 11 (theta-killed)
+    # and 19 (congruences) read their whole windows; 13, 17 and 23 decide on 16 terms
+    spec = QuotientSpec(0, 1, 1)
+    cache = ResultsCache(tmp_path)
+    with caplog.at_level(logging.INFO, logger="eiscong.scanner"):
+        verify_theorem(spec, use_remark=True, sample_above=1, cache=cache)
+        verify_theorem(spec, use_remark=True, sample_above=2, cache=cache)
+    sweeps = [r.getMessage() for r in caplog.records if r.getMessage().startswith("sweep")]
+    assert sweeps[0].endswith(" s, 5 decided by the shared prefix, 2 by the whole window")
+    assert ", 7 cache hits, 1 scanned, " in sweeps[1]
+    assert sweeps[1].endswith(" s, 1 decided by the shared prefix, 0 by the whole window")
+
+
 def test_scan_logs_the_window_it_read(caplog):
     spec = QuotientSpec(0, -12, 1)
     with caplog.at_level(logging.INFO, logger="eiscong.scanner"):
@@ -209,6 +223,11 @@ def test_sweep_is_deterministic():
     a = verify_theorem(QuotientSpec(0, 1, 1), use_remark=True, sample_above=1)
     b = verify_theorem(QuotientSpec(0, 1, 1), use_remark=True, sample_above=1)
     assert json.dumps(a.to_records()) == json.dumps(b.to_records())
+
+
+def test_sweep_rejects_a_negative_sample():
+    with pytest.raises(ValueError, match="sample_above must be nonnegative, got -1"):
+        verify_theorem(QuotientSpec(0, 1, 1), sample_above=-1)
 
 
 def test_parallel_sweep_matches_serial():
@@ -299,7 +318,9 @@ def test_warm_cache_skips_all_series_work(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("scan recomputed despite a warm cache")
 
-    monkeypatch.setattr(scanner, "scan_prime", boom)
+    # a sweep scans through _scan, on a prefix from quotient_series
+    for name in ("_scan", "quotient_series"):
+        monkeypatch.setattr(scanner, name, boom)
     second = verify_theorem(spec, use_remark=True, sample_above=2, cache=cache)
     assert first.to_records() == second.to_records()
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from sympy import primerange
 
@@ -401,6 +403,29 @@ def test_prefix_scan_matches_the_full_window(spec):
     assert mismatches == []
 
 
+SWEEP_SPECS = PREFIX_SPECS + (
+    QuotientSpec(0, -17, -2),   # 5 to 13 below |s|
+    QuotientSpec(0, -5, -5),    # theta-killed at 5 on a 3-term window, inside the prefix
+)
+
+
+@pytest.mark.parametrize(
+    "spec, jobs",
+    [(spec, 1) for spec in SWEEP_SPECS]
+    + [(QuotientSpec(0, 1, 1), 2), (QuotientSpec(0, -17, -2), 2)],
+    ids=str,
+)
+def test_the_shared_prefix_sweep_matches_scan_prime(spec, jobs):
+    # the sweep reads one prefix modulo the product of its primes; scan_prime
+    # expands mod ell itself
+    bound = theorem_bound(spec)
+    primes = list(primerange(5, bound + 1)) + list(primerange(bound + 1, bound + 60))[:3]
+    result = scanner.verify_theorem(spec, jobs=jobs)
+    assert result.reports + result.sampled_above == tuple(
+        scan_prime(spec, ell) for ell in primes
+    )
+
+
 def test_a_deciding_prefix_gives_the_full_window_answer():
     # both quadratic classes hold a nonzero a(n) before n = 16
     for ell in (19, 101, 127):
@@ -432,18 +457,22 @@ def test_an_undecided_prefix_raises():
 
 
 def test_primes_without_congruences_expand_sixteen_terms(monkeypatch):
-    windows = {}
+    expansions = []
 
     def recording(spec, modulus, terms):
-        windows[modulus] = max(windows.get(modulus, 0), terms)
+        expansions.append((modulus, terms))
         return quotient_series(spec, modulus, terms)
 
     monkeypatch.setattr(scanner, "quotient_series", recording)
     result = scanner.verify_theorem(EXAMPLE)
-    settled = [
-        r.ell
-        for r in result.reports + result.sampled_above
-        if r.method == METHOD_RIGOROUS and not r.residues
-    ]
+    reports = result.reports + result.sampled_above
+    settled = [r.ell for r in reports if r.method == METHOD_RIGOROUS and not r.residues]
     assert len(settled) > 20
-    assert {ell: windows[ell] for ell in settled if windows[ell] > 16} == {}
+    # one 16-term expansion modulo the product of every certified prime ...
+    certified = [r.ell for r in reports if r.method != METHOD_BELOW_BOUND]
+    assert [(m, terms) for m, terms in expansions if terms <= 16] == [
+        (math.prod(certified), 16)
+    ]
+    # ... and no longer one for a settled prime
+    longer = [m for m, terms in expansions if terms > 16]
+    assert [ell for ell in settled for m in longer if m % ell == 0] == []
