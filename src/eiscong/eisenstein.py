@@ -37,11 +37,12 @@ def sigma(power: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def _sigma_table(power: int, terms: int) -> tuple[int, ...]:
     # sigma(power, n) for 1 <= n < terms; shared across moduli.  A divisor
-    # sieve: d^power goes to every multiple of d, O(terms log terms) in all
-    table = [0] * terms
-    for d in range(1, terms):
+    # sieve, O(terms log terms) in all: each n starts at n^power, and each
+    # d < terms/2 adds d^power to its proper multiples
+    table = [n**power for n in range(terms)]
+    for d in range(1, (terms + 1) // 2):
         d_power = d**power
-        table[d::d] = [x + d_power for x in table[d::d]]
+        table[2 * d :: d] = [x + d_power for x in table[2 * d :: d]]
     return tuple(table[1:])
 
 
@@ -52,11 +53,13 @@ def eisenstein_series(weight: int, modulus: int, terms: int) -> TruncatedSeries:
         raise ValueError(f"only weights 2, 4 and 6 have stored expansions, got {weight}")
     if terms < 1:
         raise ValueError("need at least one term")
+    if modulus < 2:
+        raise ValueError(f"modulus must be at least 2, got {modulus}")
     c = WEIGHT_CONSTANTS[weight]
     # one sieve per power of two serves every shorter length
     sigmas = _sigma_table(weight - 1, 1 << (terms - 1).bit_length())[: terms - 1]
-    vals = [1] + [c * s for s in sigmas]
-    return TruncatedSeries(modulus, vals)
+    vals = [1] + [(c * s) % modulus for s in sigmas]
+    return TruncatedSeries._of_residues(modulus, vals)
 
 
 def eisenstein_reduced(weight_offset: int, ell: int, terms: int) -> TruncatedSeries:
@@ -95,13 +98,16 @@ def eisenstein_power_product(
     """E2^r * E4^s * E6^t mod modulus; exponents may be negative.
 
     All constant terms are 1, so negative powers always invert cleanly,
-    including modulo prime powers.
+    including modulo prime powers.  The product starts from the first
+    factor with a nonzero exponent; only E2^0 * E4^0 * E6^0 is the
+    constant one.
     """
-    out = TruncatedSeries.one(modulus, terms)
+    out = None
     for weight, exponent in ((2, r), (4, s), (6, t)):
         if exponent:
-            out = out.mul(eisenstein_series(weight, modulus, terms).pow(exponent))
-    return out
+            factor = eisenstein_series(weight, modulus, terms).pow(exponent)
+            out = factor if out is None else out.mul(factor)
+    return TruncatedSeries.one(modulus, terms) if out is None else out
 
 
 def quotient_series(spec: QuotientSpec, modulus: int, terms: int) -> TruncatedSeries:

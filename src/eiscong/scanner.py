@@ -14,7 +14,6 @@ import logging
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -370,6 +369,9 @@ def verify_theorem(
     missing = [ell for ell in targets if ell not in reports]
     scan = partial(_scan, spec, _shared_prefix(spec, missing))
     if jobs > 1 and len(missing) > 1:
+        # imported here, so that a serial sweep never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             scans = list(pool.map(scan, missing))
     else:

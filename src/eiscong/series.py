@@ -16,6 +16,10 @@ from typing import Iterable, Sequence
 
 #: array typecode of each slot width the machine has a C type for
 _SLOT_CODES = {array(code).itemsize: code for code in "BHILQ"}
+#: the C type each slot width of at most 8 bytes is packed through
+_C_SIZES = {width: min(s for s in _SLOT_CODES if s >= width) for width in range(1, 9)}
+#: where the low bytes of a C integer sit within it
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class ModulusMismatchError(ValueError):
@@ -26,23 +30,43 @@ class PrecisionError(ValueError):
     """A computation needs coefficients beyond the known window."""
 
 
+def _slot_width(count: int, modulus: int) -> int:
+    """Bytes per slot that hold every coefficient of an exact product of
+    residue windows, the shorter of which has ``count`` entries."""
+    return ((count * (modulus - 1) ** 2).bit_length() + 7) // 8
+
+
 def _pack(coeffs: Sequence[int], width: int) -> int:
-    code = _SLOT_CODES.get(width)
-    if code:
-        data = array(code, coeffs).tobytes()
-    else:
+    if width > 8:
         data = b"".join(c.to_bytes(width, sys.byteorder) for c in coeffs)
+    else:
+        size = _C_SIZES[width]
+        data = array(_SLOT_CODES[size], coeffs).tobytes()
+        if size > width:
+            # keep the low ``width`` bytes of each C integer: one slice per byte
+            low = size - width if _BIG_ENDIAN else 0
+            packed = bytearray(len(coeffs) * width)
+            for j in range(width):
+                packed[j::width] = data[low + j :: size]
+            data = packed
     return int.from_bytes(data, sys.byteorder)
 
 
 def _unpack(data: bytes, width: int, modulus: int) -> list[int]:
-    code = _SLOT_CODES.get(width)
-    if code:
-        return [c % modulus for c in memoryview(data).cast(code)]
-    return [
-        int.from_bytes(data[i : i + width], sys.byteorder) % modulus
-        for i in range(0, len(data), width)
-    ]
+    if width > 8:
+        return [
+            int.from_bytes(data[i : i + width], sys.byteorder) % modulus
+            for i in range(0, len(data), width)
+        ]
+    size = _C_SIZES[width]
+    if size > width:
+        # widen each slot to its C type, the high bytes staying zero
+        low = size - width if _BIG_ENDIAN else 0
+        wide = bytearray(len(data) // width * size)
+        for j in range(width):
+            wide[low + j :: size] = data[j::width]
+        data = wide
+    return [c % modulus for c in memoryview(data).cast(_SLOT_CODES[size])]
 
 
 def _convolve(
@@ -51,19 +75,20 @@ def _convolve(
     """The first ``terms`` coefficients of the product of two windows, mod modulus.
 
     Kronecker substitution: each window becomes one integer with a
-    byte-aligned slot per coefficient, wide enough for any coefficient of
-    the exact product, and one integer product does the convolution.
-    Slots of 1, 2, 4 or 8 bytes go through ``array``, wider ones through
-    ``int.to_bytes``.  The entries must be canonical residues in
-    [0, modulus), since a larger one could overflow its slot.
+    byte-aligned slot per coefficient, exactly as many bytes wide as the
+    largest coefficient of the exact product needs, and one integer
+    product does the convolution.  Slots of at most 8 bytes go through
+    ``array`` at the next C type, whose zero high bytes one byte slice
+    per slot byte drops (and restores on the way back); wider ones go
+    through ``int.to_bytes``.  Entries past ``terms`` cannot reach the
+    kept coefficients and are not packed.  The entries must be canonical
+    residues in [0, modulus), since a larger one could overflow its slot.
     """
+    if terms is not None:
+        a, b = a[:terms], b[:terms]
     if not a or not b:
         return []
-    bound = min(len(a), len(b)) * (modulus - 1) ** 2
-    width = (bound.bit_length() + 7) // 8
-    if width <= 8:
-        # round up to the size of a C type, which array packs and unpacks in C
-        width = 1 << (width - 1).bit_length()
+    width = _slot_width(min(len(a), len(b)), modulus)
     full = len(a) + len(b) - 1
     keep = full if terms is None else min(terms, full)
     product = _pack(a, width) * _pack(b, width)
@@ -79,7 +104,18 @@ class TruncatedSeries:
     def __init__(self, modulus: int, coeffs: Iterable[int], valuation: int = 0):
         if modulus < 2:
             raise ValueError(f"modulus must be at least 2, got {modulus}")
-        vals = [int(c) % modulus for c in coeffs]
+        self._normalise(modulus, [int(c) % modulus for c in coeffs], valuation)
+
+    @classmethod
+    def _of_residues(
+        cls, modulus: int, vals: Sequence[int], valuation: int = 0
+    ) -> "TruncatedSeries":
+        """The series of canonical residues in [0, modulus), not reduced again."""
+        series = cls.__new__(cls)
+        series._normalise(modulus, vals, valuation)
+        return series
+
+    def _normalise(self, modulus: int, vals: Sequence[int], valuation: int) -> None:
         precision = valuation + len(vals)
         lead = 0
         while lead < len(vals) and vals[lead] == 0:
@@ -157,7 +193,7 @@ class TruncatedSeries:
             stop = min(src.precision, prec)
             for n in range(src.valuation, stop):
                 out[n - v] = (out[n - v] + src.coeffs[n - src.valuation]) % m
-        return TruncatedSeries(m, out, v)
+        return TruncatedSeries._of_residues(m, out, v)
 
     def neg(self) -> "TruncatedSeries":
         return self.scale(-1)
@@ -168,7 +204,9 @@ class TruncatedSeries:
     def scale(self, scalar: int) -> "TruncatedSeries":
         m = self.modulus
         k = scalar % m
-        return TruncatedSeries(m, [(k * c) % m for c in self.coeffs], self.valuation)
+        return TruncatedSeries._of_residues(
+            m, [(k * c) % m for c in self.coeffs], self.valuation
+        )
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated to min(N_f + v_g, N_g + v_f)."""
@@ -176,13 +214,17 @@ class TruncatedSeries:
         v = self.valuation + other.valuation
         keep = min(len(self.coeffs), len(other.coeffs))
         conv = _convolve(self.coeffs, other.coeffs, self.modulus, keep)
-        return TruncatedSeries(self.modulus, conv, v)
+        return TruncatedSeries._of_residues(self.modulus, conv, v)
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse, by Newton iteration on the window.
 
-        Requires valuation 0 and a unit constant term (in this package
-        the constant term is always 1).
+        Each step doubles the known length h of the inverse g to k.  As
+        f*g = 1 + O(q^h), the product's terms h..k-1 are the whole error
+        e, and g - q^h*g*e is the inverse mod q^k: the step appends
+        -(g*e) mod q^(k-h) to g, a half-length product.  Requires
+        valuation 0 and a unit constant term (in this package the
+        constant term is always 1).
         """
         if self.valuation != 0:
             raise ValueError(
@@ -200,40 +242,44 @@ class TruncatedSeries:
         n = len(self.coeffs)
         g = [lead]
         while len(g) < n:
-            k = min(2 * len(g), n)
-            fg = _convolve(self.coeffs[:k], g, m, k)
-            corr = [(-c) % m for c in fg]
-            corr[0] = (corr[0] + 2) % m
-            g = _convolve(g, corr, m, k)
-        return TruncatedSeries(m, g, 0)
+            h = len(g)
+            k = min(2 * h, n)
+            err = _convolve(self.coeffs, g, m, k)[h:]
+            g += [(-c) % m for c in _convolve(g, err, m, k - h)]
+        return TruncatedSeries._of_residues(m, g)
 
     def pow(self, exponent: int) -> "TruncatedSeries":
-        """Binary powering; negative exponents go through invert()."""
+        """Binary powering from the lowest power the exponent needs, with
+        no product by one; negative exponents go through invert()."""
         if exponent < 0:
             return self.invert().pow(-exponent)
         window = len(self.coeffs)
         if window == 0:
             return TruncatedSeries(self.modulus, (), self.valuation)
-        result = TruncatedSeries.one(self.modulus, window)
+        if exponent == 0:
+            return TruncatedSeries.one(self.modulus, window)
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result.mul(base)
+                result = base if result is None else result.mul(base)
             e >>= 1
-            if e:
-                base = base.mul(base)
-        return result
+            if not e:
+                return result
+            base = base.mul(base)
 
     def theta(self) -> "TruncatedSeries":
         """The operator q d/dq: multiplies the q^n coefficient by n."""
         m = self.modulus
         vals = [(n * c) % m for n, c in enumerate(self.coeffs, start=self.valuation)]
-        return TruncatedSeries(m, vals, self.valuation)
+        return TruncatedSeries._of_residues(m, vals, self.valuation)
 
     def shift(self, exponent: int) -> "TruncatedSeries":
         """Multiply by q**exponent (exact, changes valuation and precision)."""
-        return TruncatedSeries(self.modulus, self.coeffs, self.valuation + exponent)
+        return TruncatedSeries._of_residues(
+            self.modulus, self.coeffs, self.valuation + exponent
+        )
 
     def extract_progression(self, residue: int, step: int) -> "TruncatedSeries":
         """The series of coefficients along exponents congruent to residue mod step."""
@@ -242,9 +288,9 @@ class TruncatedSeries:
         if not 0 <= residue < step:
             raise ValueError(f"residue must lie in [0, {step}), got {residue}")
         first = -((residue - self.valuation) // step)
-        stop = -((residue - self.precision) // step)
-        vals = [self.coefficient(step * i + residue) for i in range(first, stop)]
-        return TruncatedSeries(self.modulus, vals, first)
+        # from step*first + residue on, every exponent lies in the known window
+        vals = self.coeffs[step * first + residue - self.valuation :: step]
+        return TruncatedSeries._of_residues(self.modulus, vals, first)
 
     def change_modulus(self, new_modulus: int) -> "TruncatedSeries":
         if self.modulus % new_modulus:

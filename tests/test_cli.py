@@ -106,8 +106,7 @@ def test_tate_cycle_command(capsys):
     assert payload["falls"] == [9, 9]
 
 
-@pytest.mark.parametrize("module", ["numpy", "sympy"])
-def test_package_imports_without_numpy(module):
+def loaded_by_import(module):
     # a fresh interpreter, so that no other test's imports are in sys.modules
     env = {**os.environ, "PYTHONPATH": str(Path(eiscong.__file__).parents[1])}
     proc = subprocess.run(
@@ -115,7 +114,17 @@ def test_package_imports_without_numpy(module):
          f"import sys, eiscong, eiscong.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("module", ["numpy", "sympy"])
+def test_package_imports_without_numpy(module):
+    assert not loaded_by_import(module)
+
+
+def test_package_imports_without_multiprocessing():
+    # only a sweep with jobs > 1 starts a process pool
+    assert not loaded_by_import("multiprocessing")
 
 
 def test_verbose_tate_cycle_logs_the_cycle_and_its_filtration():

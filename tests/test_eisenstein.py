@@ -42,10 +42,15 @@ def test_sigma_matches_full_divisor_enumeration():
 
 
 def test_sigma_table_sieve_matches_sigma():
+    # lengths 1-5 and an odd one hold the edges of the sieve's d < terms/2
     for power in (1, 3, 5):
-        assert _sigma_table(power, 3000) == tuple(sigma(power, n) for n in range(1, 3000))
+        for terms in (1, 2, 3, 4, 5, 3000, 3001):
+            assert _sigma_table(power, terms) == tuple(
+                sigma(power, n) for n in range(1, terms)
+            )
     assert _sigma_table(3, 1) == ()
     assert _sigma_table(3, 2) == (1,)
+    assert _sigma_table(3, 3) == (1, 9)
 
 
 def test_sigma_rejects_nonpositive():
@@ -114,6 +119,32 @@ def test_reduced_rejects_bad_arguments():
 
 def test_identity_quotient_is_one():
     assert quotient_series(QuotientSpec(0, 0, 0), 7, 10) == TruncatedSeries.one(7, 10)
+
+
+def test_empty_power_product_is_one():
+    for m in (2, 49, 3**20):
+        for n in (1, 2, 17):
+            product = eisenstein_power_product(0, 0, 0, m, n)
+            assert product == TruncatedSeries.one(m, n)
+            assert product.precision == n
+
+
+@settings(max_examples=40)
+@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3),
+       st.sampled_from([2, 7, 9, 49, 243, 7**12, 3**20]), st.integers(1, 60))
+def test_power_product_matches_the_product_from_one(r, s, t, m, n):
+    # reference: start from the constant one and multiply in every factor
+    reference = TruncatedSeries.one(m, n)
+    for weight, exponent in ((2, r), (4, s), (6, t)):
+        reference = reference * eisenstein_series(weight, m, n) ** exponent
+    product = eisenstein_power_product(r, s, t, m, n)
+    assert product == reference
+    assert product.precision == reference.precision
+
+
+def test_eisenstein_series_rejects_modulus_below_two():
+    with pytest.raises(ValueError):
+        eisenstein_series(4, 1, 10)
 
 
 def test_spec_requires_nonnegative_r():

@@ -1,7 +1,10 @@
+import math
 import random
+import sys
+from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eiscong.series import (
@@ -9,6 +12,7 @@ from eiscong.series import (
     PrecisionError,
     TruncatedSeries,
     _convolve,
+    _slot_width,
 )
 
 
@@ -181,6 +185,97 @@ def test_convolve_fills_every_slot_width():
             assert _convolve(a, a, m) == schoolbook(a, a, m)
 
 
+def test_convolve_reaches_each_slot_width_from_1_to_10_bytes():
+    rng = random.Random(10)
+    for width in range(1, 11):
+        # (m - 1)^2 = 2^(8 width - 4), so 15 entries need every bit of the top byte
+        m = 2 ** (4 * width - 2) + 1
+        n = 15
+        assert _slot_width(n, m) == width
+        assert n * (m - 1) ** 2 >= 256 ** (width - 1)
+        top = [m - 1] * n
+        mixed = [rng.choice((0, m - 1, rng.randrange(m))) for _ in range(3 * n)]
+        for a, b in ((top, top), (top, mixed), (mixed, top)):
+            full = len(a) + len(b) - 1
+            for terms in (None, 0, 1, 7, n, full - 1, full, full + 3):
+                assert _convolve(a, b, m, terms) == schoolbook(a, b, m, terms)
+
+
+# reference codec: every slot of at most 8 bytes rounded up to 1, 2, 4 or 8
+_REFERENCE_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _reference_pack(coeffs, width):
+    code = _REFERENCE_CODES.get(width)
+    if code:
+        data = array(code, coeffs).tobytes()
+    else:
+        data = b"".join(c.to_bytes(width, sys.byteorder) for c in coeffs)
+    return int.from_bytes(data, sys.byteorder)
+
+
+def _reference_unpack(data, width, modulus):
+    code = _REFERENCE_CODES.get(width)
+    if code:
+        return [c % modulus for c in memoryview(data).cast(code)]
+    return [
+        int.from_bytes(data[i : i + width], sys.byteorder) % modulus
+        for i in range(0, len(data), width)
+    ]
+
+
+def convolve_c_types(a, b, modulus, terms=None):
+    if not a or not b:
+        return []
+    bound = min(len(a), len(b)) * (modulus - 1) ** 2
+    width = (bound.bit_length() + 7) // 8
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    full = len(a) + len(b) - 1
+    keep = full if terms is None else min(terms, full)
+    product = _reference_pack(a, width) * _reference_pack(b, width)
+    data = product.to_bytes(full * width, sys.byteorder)[: keep * width]
+    return _reference_unpack(data, width, modulus)
+
+
+@settings(max_examples=200)
+@given(convolve_case())
+def test_exact_width_convolve_matches_the_c_type_codec(case):
+    a, b, m, terms = case
+    assert _convolve(a, b, m, terms) == convolve_c_types(a, b, m, terms)
+
+
+def invert_full_correction(coeffs, modulus):
+    # reference Newton loop: each step multiplies g by the whole 2 - f*g
+    n = len(coeffs)
+    g = [pow(coeffs[0], -1, modulus)]
+    while len(g) < n:
+        k = min(2 * len(g), n)
+        fg = convolve_c_types(list(coeffs[:k]), g, modulus, k)
+        corr = [(-c) % modulus for c in fg]
+        corr[0] = (corr[0] + 2) % modulus
+        g = convolve_c_types(g, corr, modulus, k)
+    return g
+
+
+@st.composite
+def unit_window(draw):
+    m = draw(st.sampled_from(KRONECKER_MODULI))
+    n = draw(st.integers(1, 70))
+    entry = st.one_of(st.just(0), st.just(m - 1), st.integers(0, m - 1))
+    coeffs = draw(st.lists(entry, min_size=n, max_size=n))
+    # a unit constant term: 1 or a random residue prime to m
+    lead = draw(st.one_of(st.just(1), st.integers(1, m - 1)))
+    assume(math.gcd(lead, m) == 1)
+    return TruncatedSeries(m, [lead] + coeffs[1:])
+
+
+@settings(max_examples=120)
+@given(unit_window())
+def test_half_length_newton_matches_the_full_correction(f):
+    assert list(f.invert().coeffs) == invert_full_correction(f.coeffs, f.modulus)
+
+
 # ---------------------------------------------------------------------------
 # invert / pow
 
@@ -222,6 +317,19 @@ def test_pow_precision_gains_the_valuation():
         assert f.pow(e).precision == f.precision + (e - 1) * f.valuation
     # f^0 is the constant 1 on the window's length, N - v
     assert f.pow(0).precision == f.precision - f.valuation
+
+
+def test_invert_times_series_is_one_at_odd_windows():
+    rng = random.Random(70)
+    for m in (2, 49, 3**20, 7**12):
+        for n in range(1, 71, 2):
+            coeffs = [rng.randrange(m) for _ in range(n)]
+            coeffs[0] = rng.choice([c for c in (1, 2, 3, 5, m - 1) if math.gcd(c, m) == 1])
+            f = TS(m, coeffs)
+            inverse = f.invert()
+            assert inverse.precision == n
+            assert inverse * f == TruncatedSeries.one(m, n)
+            assert list(inverse.coeffs) == invert_full_correction(f.coeffs, m)
 
 
 def test_pow_negative_one_inverts():
@@ -385,3 +493,43 @@ def test_frobenius_support(ell, data):
     for n in range(power.valuation, power.precision):
         if power.coefficient(n):
             assert n % ell == 0
+
+
+def repeated_mul(f, exponent):
+    # reference powering: the constant one times f, |exponent| times; a
+    # window with no known term has no constant one and stays empty
+    if not f.coeffs:
+        return f
+    base = f if exponent >= 0 else f.invert()
+    out = TruncatedSeries.one(f.modulus, len(f.coeffs))
+    for _ in range(abs(exponent)):
+        out = out * base
+    return out
+
+
+@settings(max_examples=100)
+@given(series(max_len=25), st.sampled_from([-2, -1, 0, 1, 2, 3, 5]))
+@example(TruncatedSeries(2, []), 0)
+@example(TruncatedSeries(7, [0, 0], valuation=-3), 3)
+def test_pow_matches_repeated_mul(f, exponent):
+    if exponent < 0:
+        # a unit at valuation 0
+        f = TruncatedSeries(f.modulus, (1,) + f.coeffs[1:])
+    power = f.pow(exponent)
+    reference = repeated_mul(f, exponent)
+    assert power == reference
+    assert power.precision == reference.precision
+
+
+@given(series(max_len=30), st.integers(1, 7), st.data())
+def test_extract_progression_matches_coefficient_lookups(f, step, data):
+    residue = data.draw(st.integers(0, step - 1))
+    # reference: one coefficient() call per exponent of the progression
+    first = -((residue - f.valuation) // step)
+    stop = -((residue - f.precision) // step)
+    reference = TruncatedSeries(
+        f.modulus, [f.coefficient(step * i + residue) for i in range(first, stop)], first
+    )
+    sub = f.extract_progression(residue, step)
+    assert sub == reference
+    assert sub.precision == reference.precision
