@@ -21,6 +21,7 @@ from .eisenstein import (
     replacement_lift,
 )
 from .filtration import ModularFormModEll, compute_a_tilde, filtration
+from .primes import require_prime
 from .scanner import (
     RESULTS_DIR_ENV,
     CounterexampleError,
@@ -75,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     _spec_arguments(p)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--terms", type=int, default=20)
+    p.set_defaults(iterations=0)
 
     p = sub.add_parser("theta", help="iterated theta operator applied to an expansion")
     _spec_arguments(p)
@@ -154,13 +156,9 @@ def _series_payload(series) -> dict:
     }
 
 
-def _cmd_expand(args) -> int:
-    series = eisenstein_power_product(args.r, args.s, args.t, args.modulus, args.terms)
-    _emit(args, _series_payload(series), [str(series)])
-    return EXIT_OK
-
-
-def _cmd_theta(args) -> int:
+def _cmd_series(args) -> int:
+    if args.iterations < 0:
+        raise ValueError(f"--iterations must be nonnegative, got {args.iterations}")
     series = eisenstein_power_product(args.r, args.s, args.t, args.modulus, args.terms)
     for _ in range(args.iterations):
         series = series.theta()
@@ -222,7 +220,8 @@ def _cmd_find_congruences(args) -> int:
     if args.window is not None and not args.heuristic:
         raise ValueError("--window sets the terms scanned by --heuristic only")
     if args.heuristic:
-        window = args.window or max(50 * ell, 100)
+        require_prime(ell, 2)
+        window = max(50 * ell, 100) if args.window is None else args.window
         series = quotient_series(spec, ell, window)
         residues = tuple(sorted(heuristic_simple_congruences(series, ell)))
         report = CongruenceReport(spec, ell, METHOD_HEURISTIC, residues,
@@ -289,8 +288,8 @@ def _cmd_a_tilde(args) -> int:
 
 
 _COMMANDS = {
-    "expand": _cmd_expand,
-    "theta": _cmd_theta,
+    "expand": _cmd_series,
+    "theta": _cmd_series,
     "filtration": _cmd_filtration,
     "tate-cycle": _cmd_tate_cycle,
     "find-congruences": _cmd_find_congruences,

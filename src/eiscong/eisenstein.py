@@ -140,6 +140,11 @@ def lift_weight(spec: QuotientSpec, ell: int) -> int:
     return (spec.r + 10) * ell + spec.r + 4 * spec.s + 6 * spec.t
 
 
+def admits_lift(spec: QuotientSpec, ell: int) -> bool:
+    """Whether the lift's exponents ell + s and ell + t are both nonnegative."""
+    return ell + spec.s >= 0 and ell + spec.t >= 0
+
+
 @dataclass(frozen=True)
 class LiftedForm:
     """A genuine level-one modular form mod ell sharing the quotient's congruences."""
@@ -152,7 +157,7 @@ class LiftedForm:
     def __post_init__(self):
         if self.weight != lift_weight(self.spec, self.prime):
             raise ValueError("weight does not match the lift of the quotient")
-        if self.prime + self.spec.s < 0 or self.prime + self.spec.t < 0:
+        if not admits_lift(self.spec, self.prime):
             raise ValueError("lift exponents must be nonnegative")
 
 
@@ -165,7 +170,7 @@ def replacement_lift(spec: QuotientSpec, ell: int, terms: int) -> LiftedForm:
     E_{ell+1}, the result really is the reduction of a modular form.
     """
     require_prime(ell)
-    if ell + spec.s < 0 or ell + spec.t < 0:
+    if not admits_lift(spec, ell):
         raise ValueError(
             f"ell={ell} is smaller than |s|={abs(spec.s)} or |t|={abs(spec.t)}; "
             "no lift of this shape exists (the prime is below the size bound)"

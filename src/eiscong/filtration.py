@@ -268,6 +268,17 @@ def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None
     return IsobaricPolynomial.from_dense(ell, weight, sol)
 
 
+def _tagged_polynomial(form: ModularFormModEll) -> IsobaricPolynomial:
+    # the form at its own weight, where a reduction of such a form always has one
+    poly = represent(form, form.weight)
+    if poly is None:
+        raise RuntimeError(
+            f"series tagged weight {form.weight} mod {form.prime} matches no modular form; "
+            "the weight tag is wrong or the input is corrupt"
+        )
+    return poly
+
+
 def dense_product(
     ell: int, weight1: int, f: Sequence[int], weight2: int, g: Sequence[int]
 ) -> list[int]:
@@ -288,7 +299,6 @@ def filtration_polynomial(form: ModularFormModEll) -> tuple[IsobaricPolynomial, 
     highest power of A~ dividing that polynomial sits at the least
     weight of a congruent form.  Undefined for the zero reduction.
     """
-    ell = form.prime
     s = sturm(form.weight)
     if form.precision < s + 1:
         raise PrecisionError(
@@ -297,13 +307,7 @@ def filtration_polynomial(form: ModularFormModEll) -> tuple[IsobaricPolynomial, 
         )
     if all(form.series.coefficient(n) == 0 for n in range(s + 1)):
         raise ValueError("filtration is undefined for the zero reduction")
-    poly = represent(form, form.weight)
-    if poly is None:
-        raise RuntimeError(
-            f"series tagged weight {form.weight} mod {ell} matches no modular form; "
-            "the weight tag is wrong or the input is corrupt"
-        )
-    return poly.strip_a_tilde()
+    return _tagged_polynomial(form).strip_a_tilde()
 
 
 def filtration(form: ModularFormModEll) -> int:
@@ -327,10 +331,7 @@ def compute_a_tilde(ell: int) -> IsobaricPolynomial:
     """The weight-(ell-1) polynomial in Q, R whose value at (E4, E6) is 1 mod ell."""
     require_prime(ell)
     target = TruncatedSeries.one(ell, sturm(ell - 1) + 1)
-    poly = represent(ModularFormModEll(ell, ell - 1, target), ell - 1)
-    if poly is None:
-        raise RuntimeError(f"no weight-{ell - 1} expression of 1 mod {ell} found")
-    return poly
+    return _tagged_polynomial(ModularFormModEll(ell, ell - 1, target))
 
 
 @lru_cache(maxsize=None)
@@ -338,7 +339,4 @@ def compute_b_tilde(ell: int) -> IsobaricPolynomial:
     """The weight-(ell+1) polynomial in Q, R whose value at (E4, E6) is E2 mod ell."""
     require_prime(ell)
     target = eisenstein_series(2, ell, sturm(ell + 1) + 1)
-    poly = represent(ModularFormModEll(ell, ell + 1, target), ell + 1)
-    if poly is None:
-        raise RuntimeError(f"no weight-{ell + 1} expression of E2 mod {ell} found")
-    return poly
+    return _tagged_polynomial(ModularFormModEll(ell, ell + 1, target))

@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .eisenstein import (
     QuotientSpec,
+    admits_lift,
     eisenstein_power_product,
     lift_weight,
     quotient_series,
@@ -110,15 +111,15 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     """Full congruence analysis of one prime, certified to `certificate_precision`.
 
     Primes 2 and 3 are trivial (every series involved reduces to 1) and
-    reported without analysis.  A prime smaller than |s| or |t| admits
-    no lift of the standard shape and is recorded as disposed of by
-    size.  Otherwise one coefficient scan of the quotient decides theta
-    vanishing and, failing that, settles every nonzero residue by the
-    finite certificate for the lift.  The scan reads the quotient in
-    place of the lift: the two differ by the unit (E4*E6)(q^ell) mod
-    ell, which maps each residue class of exponents to itself by a
-    unitriangular transform, so a class vanishes through any index on
-    one side exactly when it does on the other.
+    reported without analysis.  A prime below |s| or |t| has no lift
+    (`admits_lift`) and is recorded as disposed of by size.  Otherwise
+    one coefficient scan of the quotient decides theta vanishing and,
+    failing that, settles every nonzero residue by the finite
+    certificate for the lift.  The scan reads the quotient in place of
+    the lift: the two differ by the unit (E4*E6)(q^ell) mod ell, which
+    maps each residue class of exponents to itself by a unitriangular
+    transform, so a class vanishes through any index on one side
+    exactly when it does on the other.
 
     The quotient is expanded mod ell to `FIRST_WINDOW` terms first, and
     to `certificate_precision` only when those leave the scan undecided.
@@ -126,25 +127,19 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     on a short prefix; a theta-killed or congruence-carrying prime
     reads the whole Sturm range.  The report's precision is always
     `certificate_precision`, the window the certificate stands on; the
-    log line also gives the window actually read.  `verify_theorem`
-    gives the same report and log line with one first expansion shared
-    by all its primes.
+    log line also gives the window actually read.  This is
+    `verify_theorem`'s scan of one prime: the same prefix, report and
+    log line, with the prefix expanded modulo ell alone.
     """
     require_prime(ell, 2)
-    prefix = quotient_series(spec, ell, FIRST_WINDOW) if _admits_lift(spec, ell) else None
-    return _scan(spec, prefix, ell)[0]
-
-
-def _admits_lift(spec: QuotientSpec, ell: int) -> bool:
-    # the primes that scan_prime certifies, rather than settling by their size
-    return ell >= 5 and ell + spec.s >= 0 and ell + spec.t >= 0
+    return _scan(spec, _shared_prefix(spec, [ell]), ell)[0]
 
 
 def _shared_prefix(spec: QuotientSpec, primes: list[int]) -> TruncatedSeries | None:
     # the first FIRST_WINDOW terms of the quotient modulo the product M of the
-    # primes that admit a lift; reducing mod ell | M is a ring map and every
+    # primes it certifies; reducing mod ell | M is a ring map and every
     # constant term is 1, so the reduction equals the expansion mod ell
-    modulus = math.prod(ell for ell in primes if _admits_lift(spec, ell))
+    modulus = math.prod(ell for ell in primes if ell >= 5 and admits_lift(spec, ell))
     return quotient_series(spec, modulus, FIRST_WINDOW) if modulus > 1 else None
 
 
@@ -152,7 +147,7 @@ def _scan(
     spec: QuotientSpec, prefix: TruncatedSeries | None, ell: int
 ) -> tuple[CongruenceReport, int]:
     # scan_prime's analysis and log line, from the first FIRST_WINDOW terms of
-    # the quotient modulo a multiple of ell (None where ell admits no lift);
+    # the quotient modulo a multiple of ell (None where ell is not certified);
     # returns the report and how many terms of the quotient it read
     start = time.perf_counter()
     report, window = _decide_prime(spec, ell, prefix)
@@ -168,7 +163,7 @@ def _decide_prime(
 ) -> tuple[CongruenceReport, int]:
     if ell in (2, 3):
         return CongruenceReport(spec, ell, METHOD_TRIVIAL_PRIME, tuple(range(1, ell))), 0
-    if not _admits_lift(spec, ell):
+    if not admits_lift(spec, ell):
         return CongruenceReport(spec, ell, METHOD_BELOW_BOUND, ()), 0
     precision = certificate_precision(spec, ell)
     weight = lift_weight(spec, ell)
@@ -182,30 +177,20 @@ def _decide_prime(
         theta_kills, residues = congruence_scan(
             quotient_series(spec, ell, window), ell, weight
         )
-    if not theta_kills:
-        report = CongruenceReport(
-            spec, ell, METHOD_RIGOROUS, residues, weight=weight, precision=precision
-        )
-        return report, window
-    if not theta_vanishes(spec, ell):
-        raise PrecisionError(
-            f"theta-vanishing window {THETA_WINDOW_DEFAULT} disagrees with the Sturm "
-            f"certificate at ell={ell}"
-        )
-    if ell >= 17 and not theta_zero_congruences_hold(spec, ell):
-        raise PrecisionError(
-            f"theta image vanishes through precision at ell={ell} but the coefficient "
-            "system forbids it"
-        )
-    report = CongruenceReport(
-        spec,
-        ell,
-        METHOD_THETA_VANISHING,
-        tuple(range(1, ell)),
-        weight=weight,
-        precision=precision,
-    )
-    return report, window
+    method = METHOD_RIGOROUS
+    if theta_kills:
+        if not theta_vanishes(spec, ell):
+            raise PrecisionError(
+                f"theta-vanishing window {THETA_WINDOW_DEFAULT} disagrees with the Sturm "
+                f"certificate at ell={ell}"
+            )
+        if ell >= 17 and not theta_zero_congruences_hold(spec, ell):
+            raise PrecisionError(
+                f"theta image vanishes through precision at ell={ell} but the coefficient "
+                "system forbids it"
+            )
+        method, residues = METHOD_THETA_VANISHING, tuple(range(1, ell))
+    return CongruenceReport(spec, ell, method, residues, weight, precision), window
 
 
 def report_to_record(report: CongruenceReport, bound: int, version: str = __version__) -> dict:

@@ -278,10 +278,8 @@ def theta_vanishes(
     Equivalent to theta killing the quotient through the window; a
     finite check, labelled non-rigorous on its own.
     """
-    series = quotient_series(spec, ell, terms)
-    return all(
-        c == 0 for n, c in enumerate(series.coeffs, start=series.valuation) if n % ell
-    )
+    flagged = heuristic_simple_congruences(quotient_series(spec, ell, terms), ell)
+    return flagged >= frozenset(range(1, ell))
 
 
 def theta_zero_congruences_hold(spec: QuotientSpec, ell: int) -> bool:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -201,6 +202,50 @@ def test_nonprime_ell_is_usage_error(capsys):
     code, _, err = run(capsys, "find-congruences", "--r", "0", "--s", "1", "--t", "1",
                        "--ell", "15")
     assert code == 2
+    code, out, err = run(capsys, "find-congruences", "--r", "0", "--s", "1", "--t", "1",
+                         "--ell", "9", "--heuristic")
+    assert (code, out) == (2, "")
+    assert "ell must be a prime at least 2, got 9" in err
+
+
+@pytest.mark.parametrize("window", ["0", "-5"])
+def test_heuristic_window_below_one_is_usage_error(capsys, window):
+    code, out, err = run(capsys, "find-congruences", "--r", "0", "--s", "-1", "--t", "0",
+                         "--ell", "3", "--heuristic", "--window", window)
+    assert (code, out) == (2, "")
+    assert "usage error" in err
+
+
+def test_negative_iterations_is_usage_error(capsys):
+    code, out, err = run(capsys, "theta", "--r", "0", "--s", "1", "--t", "0",
+                         "--modulus", "7", "--iterations", "-2")
+    assert (code, out) == (2, "")
+    assert "--iterations must be nonnegative, got -2" in err
+
+
+def test_expand_takes_no_iterations():
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--r", "0", "--s", "1", "--t", "0", "--modulus", "7",
+              "--iterations", "1"])
+    assert exc.value.code == 2
+
+
+def readme_commands():
+    """Each `eiscong ...` line of README's "Command line" block, as an argument list."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("eiscong ")]
+
+
+def test_readme_command_lines_run(capsys, tmp_path):
+    commands = readme_commands()
+    assert len(commands) == 11
+    for argv in commands:
+        code, _, err = run(capsys, "--results-dir", str(tmp_path), *argv)
+        # the full table holds the false E2/E6 mod 49 cell
+        expected = 1 if argv == ["verify-table", "--terms", "3000"] else 0
+        assert code == expected, (argv, err)
 
 
 def test_missing_subcommand_exits_2():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import random
@@ -7,7 +8,13 @@ import pytest
 
 import eiscong.scanner as scanner
 from eiscong import __version__
-from eiscong.eisenstein import QuotientSpec, lift_weight
+from eiscong.eisenstein import (
+    LiftedForm,
+    QuotientSpec,
+    admits_lift,
+    lift_weight,
+    replacement_lift,
+)
 from eiscong.scanner import (
     BERNDT_YEE_TABLE,
     CounterexampleError,
@@ -100,6 +107,44 @@ def test_scan_refuses_undersized_primes():
     report = scan_prime(QuotientSpec(0, -12, 1), 7)
     assert report.method == METHOD_BELOW_BOUND
     assert report.residues == ()
+
+
+def value_error(call, *args):
+    """The message of the ValueError the call raises, or None."""
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_one_rule_decides_which_primes_carry_a_lift():
+    # admits_lift, replacement_lift, LiftedForm and scan_prime all follow the
+    # lift's exponents ell + s and ell + t
+    disagreements, seen = [], set()
+    for s, t in itertools.product(range(-20, 5), repeat=2):
+        spec = QuotientSpec(0, s, t)
+        for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+            admitted = ell + s >= 0 and ell + t >= 0
+            seen.add(admitted)
+            series = TruncatedSeries.one(ell, 4)
+            got = (
+                admits_lift(spec, ell),
+                value_error(replacement_lift, spec, ell, 4),
+                value_error(LiftedForm, spec, ell, lift_weight(spec, ell), series),
+                scan_prime(spec, ell).method != METHOD_BELOW_BOUND,
+            )
+            expected = (True, None, None, True) if admitted else (
+                False,
+                f"ell={ell} is smaller than |s|={abs(s)} or |t|={abs(t)}; "
+                "no lift of this shape exists (the prime is below the size bound)",
+                "lift exponents must be nonnegative",
+                False,
+            )
+            if got != expected:
+                disagreements.append((s, t, ell))
+    assert disagreements == []
+    assert seen == {True, False}
 
 
 def test_scan_certifies_the_example_prime():

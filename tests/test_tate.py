@@ -243,6 +243,29 @@ def test_theta_vanishes_examples():
     assert theta_vanishes(QuotientSpec(144, -15, -14), 13, 600)
 
 
+def theta_vanishes_by_coefficients(spec, ell, terms=THETA_WINDOW_DEFAULT):
+    """Reference theta_vanishes: its own pass over every a(n) with n prime to ell."""
+    series = quotient_series(spec, ell, terms)
+    return all(
+        c == 0 for n, c in enumerate(series.coeffs, start=series.valuation) if n % ell
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [QuotientSpec(0, 1, 1), QuotientSpec(144, -15, -14), QuotientSpec(0, 17, 0),
+     QuotientSpec(0, -12, 1)],
+    ids=str,
+)
+def test_theta_vanishes_matches_the_coefficient_pass(spec):
+    cases = [(ell, terms) for ell in primerange(5, 32) for terms in (1, 2, 16, 500)]
+    got = {case: theta_vanishes(spec, *case) for case in cases}
+    reference = {case: theta_vanishes_by_coefficients(spec, *case) for case in cases}
+    assert [case for case in cases if got[case] != reference[case]] == []
+    # both answers occur, so the comparison is not between constants
+    assert set(got.values()) == {True, False}
+
+
 def test_theta_zero_constraints():
     spec = QuotientSpec(144, -15, -14)
     for ell in (5, 7, 13):
@@ -349,6 +372,16 @@ def test_scan_keeps_the_window_guard_on_theta_vanishing(monkeypatch):
     monkeypatch.setattr(scanner, "theta_vanishes", lambda spec, ell: False)
     with pytest.raises(PrecisionError):
         scan_prime(QuotientSpec(0, 1, 1), 11)
+
+
+def test_scan_keeps_the_closed_form_guard_on_theta_vanishing(monkeypatch):
+    # E4^17 = E4(q^17) mod 17, so theta kills it; from 17 on the closed-form
+    # coefficient system must agree
+    spec = QuotientSpec(0, 17, 0)
+    assert scan_prime(spec, 17).method == METHOD_THETA_VANISHING
+    monkeypatch.setattr(scanner, "theta_zero_congruences_hold", lambda spec, ell: False)
+    with pytest.raises(PrecisionError, match="coefficient system forbids it"):
+        scan_prime(spec, 17)
 
 
 # ---------------------------------------------------------------------------
