@@ -1,7 +1,8 @@
 """Command line surface.  Every number printed is an exact integer.
 
-Exit codes: 0 success, 1 mathematical counterexample, 2 usage error,
-3 precision or storage error.
+Exit codes: 0 success, also when the reader closes the output early,
+1 mathematical counterexample, 2 usage error, 3 precision or storage
+error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .scanner import (
     verify_table,
     verify_theorem,
 )
-from .series import ModulusMismatchError, PrecisionError
+from .series import PrecisionError
 from .tate import (
     METHOD_HEURISTIC,
     TATE_CYCLE_CAP,
@@ -259,8 +260,8 @@ def _cmd_verify_theorem(args) -> int:
         lines.append(f"ell={rep.ell}\t{rep.method}\tresidues: {residues}")
     for rep in result.sampled_above:
         lines.append(f"above bound ell={rep.ell}\t{rep.method}\tresidues: (none)")
-    csv_rows = result.to_records()
-    _emit(args, result.to_json(), lines, csv_rows)
+    payload = result.to_json()
+    _emit(args, payload, lines, payload["reports"] + payload["sampled_above"])
     return EXIT_OK
 
 
@@ -308,10 +309,14 @@ def main(argv=None) -> int:
     except CounterexampleError as exc:
         print(f"counterexample: {exc}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
+    except BrokenPipeError:
+        # a reader that stops early is no failure; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (PrecisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (ModulusMismatchError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .eisenstein import LiftedForm, eisenstein_series
+from .eisenstein import LiftedForm, eisenstein_reduced, eisenstein_series
 from .linalg import solve_mod_prime
 from .primes import require_prime
 from .series import PrecisionError, TruncatedSeries, _convolve
@@ -102,8 +102,7 @@ class ModularFormModEll:
 
     def __post_init__(self):
         require_prime(self.prime)
-        if self.weight < 0 or self.weight % 2:
-            raise ValueError(f"weight must be even and nonnegative, got {self.weight}")
+        dense_layout(self.weight)  # the weight is even and nonnegative
         if self.series.modulus != self.prime:
             raise ValueError("series modulus must equal the prime")
         if self.series.valuation < 0:
@@ -158,8 +157,8 @@ class IsobaricPolynomial:
     @property
     def terms(self) -> tuple[tuple[int, int, int], ...]:
         """(a, b, coefficient) of each nonzero monomial Q^a R^b, in descending-a order."""
-        a0, b0, _ = dense_layout(self.weight)
-        return tuple((a0 - 3 * j, b0 + 2 * j, c) for j, c in enumerate(self.coeffs) if c)
+        pairs = monomial_exponents(self.weight)
+        return tuple((a, b, c) for (a, b), c in zip(pairs, self.coeffs) if c)
 
     def theta(self) -> "IsobaricPolynomial":
         """The polynomial of the theta image, of weight weight + prime + 1.
@@ -247,8 +246,7 @@ def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None
     weights; both are hard preconditions.
     """
     ell = form.prime
-    if weight < 0 or weight % 2:
-        raise ValueError(f"weight must be even and nonnegative, got {weight}")
+    dense_layout(weight)  # the weight is even and nonnegative
     if (form.weight - weight) % (ell - 1):
         raise ValueError(
             f"weight {weight} is not congruent to {form.weight} mod {ell - 1}"
@@ -265,7 +263,7 @@ def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None
     sol = solve_mod_prime(matrix, rhs, ell)
     if sol is None:
         return None
-    return IsobaricPolynomial.from_dense(ell, weight, sol)
+    return IsobaricPolynomial(ell, weight, sol)  # sol holds canonical residues
 
 
 def _tagged_polynomial(form: ModularFormModEll) -> IsobaricPolynomial:
@@ -297,17 +295,13 @@ def filtration_polynomial(form: ModularFormModEll) -> tuple[IsobaricPolynomial, 
 
     One solve writes the form at its tagged weight; the quotient by the
     highest power of A~ dividing that polynomial sits at the least
-    weight of a congruent form.  Undefined for the zero reduction.
+    weight of a congruent form.  Undefined for the zero reduction, that
+    is the zero polynomial: the basis is independent mod ell >= 5.
     """
-    s = sturm(form.weight)
-    if form.precision < s + 1:
-        raise PrecisionError(
-            f"filtration at weight {form.weight} needs precision {s + 1}, "
-            f"have {form.precision}"
-        )
-    if all(form.series.coefficient(n) == 0 for n in range(s + 1)):
+    poly = _tagged_polynomial(form)
+    if not any(poly.coeffs):
         raise ValueError("filtration is undefined for the zero reduction")
-    return _tagged_polynomial(form).strip_a_tilde()
+    return poly.strip_a_tilde()
 
 
 def filtration(form: ModularFormModEll) -> int:
@@ -329,14 +323,13 @@ def filtration(form: ModularFormModEll) -> int:
 @lru_cache(maxsize=None)
 def compute_a_tilde(ell: int) -> IsobaricPolynomial:
     """The weight-(ell-1) polynomial in Q, R whose value at (E4, E6) is 1 mod ell."""
-    require_prime(ell)
-    target = TruncatedSeries.one(ell, sturm(ell - 1) + 1)
+    # ell terms cover the Sturm range, and eisenstein_reduced checks the prime
+    target = eisenstein_reduced(-1, ell, ell)
     return _tagged_polynomial(ModularFormModEll(ell, ell - 1, target))
 
 
 @lru_cache(maxsize=None)
 def compute_b_tilde(ell: int) -> IsobaricPolynomial:
     """The weight-(ell+1) polynomial in Q, R whose value at (E4, E6) is E2 mod ell."""
-    require_prime(ell)
-    target = eisenstein_series(2, ell, sturm(ell + 1) + 1)
+    target = eisenstein_reduced(1, ell, ell)
     return _tagged_polynomial(ModularFormModEll(ell, ell + 1, target))

@@ -14,7 +14,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 from itertools import count, islice
@@ -194,18 +194,10 @@ def _decide_prime(
 
 
 def report_to_record(report: CongruenceReport, bound: int, version: str = __version__) -> dict:
-    return {
-        "r": report.spec.r,
-        "s": report.spec.s,
-        "t": report.spec.t,
-        "ell": report.ell,
-        "method": report.method,
-        "residues": list(report.residues),
-        "weight": report.weight,
-        "precision": report.precision,
-        "bound": bound,
-        "version": version,
-    }
+    spec = report.spec
+    values = (spec.r, spec.s, spec.t, report.ell, report.method, list(report.residues),
+              report.weight, report.precision, bound, version)
+    return dict(zip(RECORD_FIELDS, values, strict=True))
 
 
 def record_to_report(record: dict) -> CongruenceReport:
@@ -242,10 +234,9 @@ class ScanResult:
         ]
 
     def to_json(self) -> dict:
+        records = self.to_records()
         return {
-            "r": self.spec.r,
-            "s": self.spec.s,
-            "t": self.spec.t,
+            **asdict(self.spec),
             "bound_kind": self.bound_kind,
             "bound": self.bound,
             "theorem_bound": self.theorem_bound,
@@ -254,10 +245,8 @@ class ScanResult:
             "version": self.version,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            "reports": [report_to_record(r, self.bound, self.version) for r in self.reports],
-            "sampled_above": [
-                report_to_record(r, self.bound, self.version) for r in self.sampled_above
-            ],
+            "reports": records[: len(self.reports)],
+            "sampled_above": records[len(self.reports) :],
         }
 
 
@@ -466,17 +455,5 @@ def verify_table(rows=BERNDT_YEE_TABLE, terms: int = 3000) -> list[dict]:
                 f"table row {row.name}: coefficient of q^{n} is {progression.coeffs[0]}, "
                 f"not 0 mod {row.modulus}"
             )
-        out.append(
-            {
-                "name": row.name,
-                "r": row.r,
-                "s": row.s,
-                "t": row.t,
-                "step": row.step,
-                "residue": row.residue,
-                "modulus": row.modulus,
-                "terms": terms,
-                "checked": progression.precision,
-            }
-        )
+        out.append({**asdict(row), "terms": terms, "checked": progression.precision})
     return out

@@ -4,8 +4,8 @@ The universal value type of the package.  A series stores the exact
 residues of its coefficients for every exponent in the window
 [valuation, precision); below the valuation the series is zero by
 definition, at the precision and above nothing is known.  Every
-operation is pure and returns the largest provably correct precision,
-so any coefficient that can be read out is exact in Z/m.
+operation is pure, and every coefficient it returns is exact in Z/m;
+its precision is a proven one, but not always the largest provable.
 """
 
 from __future__ import annotations
@@ -250,12 +250,14 @@ class TruncatedSeries:
 
     def pow(self, exponent: int) -> "TruncatedSeries":
         """Binary powering from the lowest power the exponent needs, with
-        no product by one; negative exponents go through invert()."""
+        no product by one; negative exponents go through invert().  It can
+        keep more terms than repeated products when the lead is a zero divisor."""
         if exponent < 0:
             return self.invert().pow(-exponent)
         window = len(self.coeffs)
         if window == 0:
-            return TruncatedSeries(self.modulus, (), self.valuation)
+            # zero below exponent * valuation, where every product term starts
+            return TruncatedSeries(self.modulus, (), exponent * self.valuation)
         if exponent == 0:
             return TruncatedSeries.one(self.modulus, window)
         result = None

@@ -141,6 +141,21 @@ def test_verbose_tate_cycle_logs_the_cycle_and_its_filtration():
     assert "base filtration 128" in proc.stdout
 
 
+def test_a_closed_output_pipe_is_no_error():
+    # as `eiscong ... | head -c 10`: the reader closes the pipe mid-output
+    env = {**os.environ, "PYTHONPATH": str(Path(eiscong.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eiscong.cli", "--output", "json", "expand",
+         "--r", "0", "--s", "1", "--t", "0", "--modulus", "7", "--terms", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    with proc.stderr:
+        assert proc.stderr.read() == b""
+    assert proc.wait() == 0
+
+
 def test_verify_theorem_command(capsys, tmp_path):
     code, out, _ = run(capsys, "--output", "json", "--results-dir", str(tmp_path),
                        "verify-theorem", "--r", "0", "--s", "1", "--t", "1",

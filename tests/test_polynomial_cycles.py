@@ -21,7 +21,9 @@ from eiscong.eisenstein import QuotientSpec, eisenstein_series, replacement_lift
 from eiscong.filtration import (
     IsobaricPolynomial,
     ModularFormModEll,
+    _tagged_polynomial,
     compute_a_tilde,
+    compute_b_tilde,
     dense_layout,
     dense_product,
     filtration,
@@ -373,6 +375,68 @@ def test_filtration_polynomial_sits_at_the_filtration():
     form = ModularFormModEll(5, 4, eisenstein_series(4, 5, 4))
     poly, divisions = filtration_polynomial(form)
     assert (poly.weight, poly.terms, divisions) == (0, ((0, 0, 1),), 1)
+
+
+def explicit_filtration_polynomial(form):
+    """Reference: the precision and zero-reduction checks made by hand before the solve."""
+    s = sturm(form.weight)
+    if form.precision < s + 1:
+        raise PrecisionError(
+            f"filtration at weight {form.weight} needs precision {s + 1}, "
+            f"have {form.precision}"
+        )
+    if all(form.series.coefficient(n) == 0 for n in range(s + 1)):
+        raise ValueError("filtration is undefined for the zero reduction")
+    return _tagged_polynomial(form).strip_a_tilde()
+
+
+def result_or_error(call, form):
+    try:
+        return call(form)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("ell", list(primerange(5, 32)))
+def test_filtration_polynomial_matches_the_explicit_checks(ell):
+    forms = []
+    for spec in (QuotientSpec(0, -12, 1), QuotientSpec(1, 0, 0), QuotientSpec(2, 3, -1),
+                 QuotientSpec(0, 1, 1), QuotientSpec(0, -4, 0)):
+        if ell + spec.s < 0:
+            continue
+        full = profile_precision(spec, ell)
+        for terms in (full, full - 1):  # the Sturm prefix, and one term short
+            forms.append(ModularFormModEll.from_lift(replacement_lift(spec, ell, terms)))
+    for weight in (0, ell - 1, ell + 1, 12 * ell):
+        for terms in (sturm(weight) + 1, sturm(weight)):
+            forms.append(ModularFormModEll(ell, weight, TruncatedSeries.zero(ell, terms)))
+    # weight 14 is spanned by E4^2 E6 = 1 + ..., which no series 0 + q + ... matches
+    forms.append(ModularFormModEll(ell, 14, TruncatedSeries(ell, [0, 1])))
+    outcomes = [
+        (result_or_error(filtration_polynomial, form),
+         result_or_error(explicit_filtration_polynomial, form))
+        for form in forms
+    ]
+    assert all(new == old for new, old in outcomes)
+    kinds = {old if isinstance(old, type) else tuple for _, old in outcomes}
+    assert kinds == {tuple, PrecisionError, ValueError, RuntimeError}
+
+
+@pytest.mark.parametrize("ell", list(primerange(5, 98)))
+def test_a_tilde_and_b_tilde_evaluate_to_one_and_e2(ell):
+    # twice the Sturm range of weight ell + 1, past the window either solve read
+    terms = 2 * (sturm(ell + 1) + 1)
+    a_tilde, b_tilde = compute_a_tilde(ell), compute_b_tilde(ell)
+    assert (a_tilde.weight, b_tilde.weight) == (ell - 1, ell + 1)
+    assert a_tilde.evaluate(terms) == TruncatedSeries.one(ell, terms)
+    assert b_tilde.evaluate(terms) == eisenstein_series(2, ell, terms)
+
+
+@pytest.mark.parametrize("ell", [-5, 0, 1, 3, 9])
+def test_a_tilde_and_b_tilde_refuse_what_is_not_a_prime_at_least_5(ell):
+    for compute in (compute_a_tilde, compute_b_tilde):
+        with pytest.raises(ValueError, match=f"ell must be a prime at least 5, got {ell}"):
+            compute(ell)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from eiscong.eisenstein import (
     LiftedForm,
     QuotientSpec,
     admits_lift,
+    eisenstein_power_product,
     lift_weight,
     replacement_lift,
 )
@@ -34,6 +35,7 @@ from eiscong.scanner import (
 from eiscong.series import TruncatedSeries
 from eiscong.tate import (
     METHOD_BELOW_BOUND,
+    METHOD_HEURISTIC,
     METHOD_RIGOROUS,
     METHOD_THETA_VANISHING,
     METHOD_TRIVIAL_PRIME,
@@ -411,3 +413,108 @@ def test_latest_record_wins(tmp_path):
     fresh = report_to_record(scan_prime(spec, 13), bound=19)
     path.write_text(json.dumps(stale) + "\n" + json.dumps(fresh) + "\n")
     assert cache.get(spec, 13).residues == ()
+
+
+# ---------------------------------------------------------------------------
+# record and summary layouts against the written-out dict literals they replaced
+
+
+def listed_record(report, bound, version=__version__):
+    return {
+        "r": report.spec.r,
+        "s": report.spec.s,
+        "t": report.spec.t,
+        "ell": report.ell,
+        "method": report.method,
+        "residues": list(report.residues),
+        "weight": report.weight,
+        "precision": report.precision,
+        "bound": bound,
+        "version": version,
+    }
+
+
+def listed_sweep_json(result):
+    return {
+        "r": result.spec.r,
+        "s": result.spec.s,
+        "t": result.spec.t,
+        "bound_kind": result.bound_kind,
+        "bound": result.bound,
+        "theorem_bound": result.theorem_bound,
+        "remark_bound": result.remark_bound,
+        "identity_quotient": result.identity_quotient,
+        "version": result.version,
+        "started_at": result.started_at,
+        "finished_at": result.finished_at,
+        "reports": [listed_record(r, result.bound, result.version) for r in result.reports],
+        "sampled_above": [
+            listed_record(r, result.bound, result.version) for r in result.sampled_above
+        ],
+    }
+
+
+def listed_table_summaries(rows, terms):
+    out = []
+    for row in rows:
+        series = eisenstein_power_product(row.r, row.s, row.t, row.modulus, terms)
+        progression = series.extract_progression(row.residue, row.step)
+        if not progression.is_zero():
+            n = row.step * progression.valuation + row.residue
+            raise CounterexampleError(
+                f"table row {row.name}: coefficient of q^{n} is {progression.coeffs[0]}, "
+                f"not 0 mod {row.modulus}"
+            )
+        out.append(
+            {
+                "name": row.name,
+                "r": row.r,
+                "s": row.s,
+                "t": row.t,
+                "step": row.step,
+                "residue": row.residue,
+                "modulus": row.modulus,
+                "terms": terms,
+                "checked": progression.precision,
+            }
+        )
+    return out
+
+
+def test_records_of_every_method_match_the_listed_layout():
+    spec = QuotientSpec(0, -12, 1)
+    reports = [
+        scan_prime(spec, 3),
+        scan_prime(spec, 5),
+        scan_prime(spec, 17),
+        scan_prime(QuotientSpec(0, 1, 1), 11),
+        CongruenceReport(spec, 17, METHOD_HEURISTIC, (3, 5, 6), weight=None, precision=850),
+    ]
+    assert [rep.method for rep in reports] == [
+        METHOD_TRIVIAL_PRIME, METHOD_BELOW_BOUND, METHOD_RIGOROUS, METHOD_THETA_VANISHING,
+        METHOD_HEURISTIC,
+    ]
+    for rep in reports:
+        for bound, version in ((129, __version__), (19, "0.0.1")):
+            assert json.dumps(report_to_record(rep, bound, version)) == json.dumps(
+                listed_record(rep, bound, version)
+            )
+
+
+@pytest.mark.parametrize("spec", [QuotientSpec(0, -12, 1), QuotientSpec(0, 1, 1)])
+def test_sweep_json_and_records_match_the_listed_layout(spec):
+    result = verify_theorem(spec, use_remark=spec.s > 0)
+    assert json.dumps(result.to_json()) == json.dumps(listed_sweep_json(result))
+    listed = [listed_record(r, result.bound) for r in result.reports + result.sampled_above]
+    assert json.dumps(result.to_records()) == json.dumps(listed)
+
+
+@pytest.mark.parametrize("row", BERNDT_YEE_TABLE, ids=lambda row: f"{row.name}-{row.modulus}")
+def test_table_summaries_match_the_listed_layout(row):
+    outcomes = []
+    for check in (verify_table, listed_table_summaries):
+        try:
+            outcomes.append(json.dumps(check((row,), 300)))
+        except CounterexampleError as exc:
+            outcomes.append(f"counterexample: {exc}")
+    assert outcomes[0] == outcomes[1]

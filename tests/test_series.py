@@ -496,29 +496,48 @@ def test_frobenius_support(ell, data):
 
 
 def repeated_mul(f, exponent):
-    # reference powering: the constant one times f, |exponent| times; a
-    # window with no known term has no constant one and stays empty
-    if not f.coeffs:
-        return f
-    base = f if exponent >= 0 else f.invert()
-    out = TruncatedSeries.one(f.modulus, len(f.coeffs))
-    for _ in range(abs(exponent)):
+    # reference powering: f (or its inverse) times itself, |exponent| - 1
+    # times; the zeroth power is the constant one, and a window with no
+    # known term has no constant one and stays empty
+    if exponent == 0:
+        return TruncatedSeries.one(f.modulus, len(f.coeffs)) if f.coeffs else f
+    base = f if exponent > 0 else f.invert()
+    out = base
+    for _ in range(abs(exponent) - 1):
         out = out * base
     return out
+
+
+def completions(f, extra=8):
+    # two longer series that agree with f on its whole window, one ending in
+    # zeros and one in residues drawn from a generator seeded by f
+    rng = random.Random(hash((f.modulus, f.valuation, f.coeffs)))
+    for tail in ([0] * extra, [rng.randrange(f.modulus) for _ in range(extra)]):
+        yield TruncatedSeries(f.modulus, f.coeffs + tuple(tail), f.valuation)
 
 
 @settings(max_examples=100)
 @given(series(max_len=25), st.sampled_from([-2, -1, 0, 1, 2, 3, 5]))
 @example(TruncatedSeries(2, []), 0)
 @example(TruncatedSeries(7, [0, 0], valuation=-3), 3)
+@example(TruncatedSeries(49, [21], valuation=-1), 5)
+@example(TruncatedSeries(4, [2, 3, 0, 1, 1], valuation=4), 5)
 def test_pow_matches_repeated_mul(f, exponent):
     if exponent < 0:
         # a unit at valuation 0
         f = TruncatedSeries(f.modulus, (1,) + f.coeffs[1:])
     power = f.pow(exponent)
     reference = repeated_mul(f, exponent)
-    assert power == reference
-    assert power.precision == reference.precision
+    # both are exact where known; when the leading coefficient is a zero
+    # divisor, binary powering can keep more terms than repeated products
+    assert power.agrees_with(reference)
+    assert power.precision >= reference.precision
+    if f.coeffs and math.gcd(f.coeffs[0], f.modulus) == 1:
+        assert power == reference
+        assert power.precision == reference.precision
+    # every term pow keeps is the one any longer completion of f gives
+    for longer in completions(f):
+        assert power.agrees_with(repeated_mul(longer, exponent))
 
 
 @given(series(max_len=30), st.integers(1, 7), st.data())
