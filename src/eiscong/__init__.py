@@ -23,7 +23,6 @@ from .filtration import (
     monomial_exponents,
     monomial_basis,
     represent,
-    filtration,
     compute_a_tilde,
     compute_b_tilde,
 )

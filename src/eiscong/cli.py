@@ -77,22 +77,25 @@ def build_parser() -> argparse.ArgumentParser:
     _spec_arguments(p)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--terms", type=int, default=20)
-    p.set_defaults(iterations=0)
+    p.set_defaults(run=_cmd_series, iterations=0)
 
     p = sub.add_parser("theta", help="iterated theta operator applied to an expansion")
     _spec_arguments(p)
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--terms", type=int, default=20)
     p.add_argument("--iterations", type=int, default=1)
+    p.set_defaults(run=_cmd_series)
 
     p = sub.add_parser("filtration", help="filtration of the lifted quotient mod ell")
     _spec_arguments(p)
     p.add_argument("--ell", type=int, required=True)
+    p.set_defaults(run=_cmd_filtration)
 
     p = sub.add_parser("tate-cycle", help="filtration profile of the theta iterates")
     _spec_arguments(p)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--cap", type=int, default=TATE_CYCLE_CAP, help="largest prime profiled")
+    p.set_defaults(run=_cmd_tate_cycle)
 
     p = sub.add_parser("find-congruences", help="residues c with a(ell n + c) = 0 mod ell")
     _spec_arguments(p)
@@ -104,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="window scan of the expansion instead")
     p.add_argument("--window", type=int, default=None,
                    help="terms scanned by --heuristic (default max(50*ell, 100))")
+    p.set_defaults(run=_cmd_find_congruences)
 
     p = sub.add_parser("verify-theorem", help="sweep all primes up to the bound")
     _spec_arguments(p)
@@ -111,18 +115,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-above", type=int, default=3, metavar="K",
                    help="primes above the bound to test for consistency")
     p.add_argument("--no-cache", action="store_true", help="do not read or write records")
+    p.set_defaults(run=_cmd_verify_theorem)
 
     p = sub.add_parser("verify-table", help="check the Berndt and Yee congruence table")
     p.add_argument("--row", default="all", help='quotient name, e.g. "E2^2/E6", or "all"')
     p.add_argument("--terms", type=int, default=3000)
+    p.set_defaults(run=_cmd_verify_table)
 
     p = sub.add_parser("a-tilde", help="weight ell-1 polynomial in Q, R with value 1")
     p.add_argument("--ell", type=int, required=True)
+    p.set_defaults(run=_cmd_a_tilde)
 
     return parser
 
 
 def _emit(args, payload: dict, table_lines: list[str], csv_rows: list[dict] | None = None):
+    # the views each subparser's `run` returns; CSV rows default to [payload]
     if args.output == "json":
         print(json.dumps(payload, indent=2))
     elif args.output == "csv":
@@ -142,29 +150,15 @@ def _emit(args, payload: dict, table_lines: list[str], csv_rows: list[dict] | No
             print(line)
 
 
-def _results_dir(args) -> str:
-    if args.results_dir:
-        return args.results_dir
-    return os.environ.get(RESULTS_DIR_ENV, "results")
-
-
-def _series_payload(series) -> dict:
-    return {
-        "modulus": series.modulus,
-        "valuation": series.valuation,
-        "precision": series.precision,
-        "coefficients": list(series.coeffs),
-    }
-
-
-def _cmd_series(args) -> int:
+def _cmd_series(args):
     if args.iterations < 0:
         raise ValueError(f"--iterations must be nonnegative, got {args.iterations}")
     series = eisenstein_power_product(args.r, args.s, args.t, args.modulus, args.terms)
     for _ in range(args.iterations):
         series = series.theta()
-    _emit(args, _series_payload(series), [str(series)])
-    return EXIT_OK
+    payload = {"modulus": series.modulus, "valuation": series.valuation,
+               "precision": series.precision, "coefficients": list(series.coeffs)}
+    return payload, [str(series)]
 
 
 def _lifted_form(args) -> ModularFormModEll:
@@ -174,16 +168,15 @@ def _lifted_form(args) -> ModularFormModEll:
     return ModularFormModEll.from_lift(lifted)
 
 
-def _cmd_filtration(args) -> int:
+def _cmd_filtration(args):
     form = _lifted_form(args)
     value = filtration(form)
     payload = {"r": args.r, "s": args.s, "t": args.t, "ell": args.ell,
                "weight": form.weight, "filtration": value}
-    _emit(args, payload, [f"filtration = {value} (lift weight {form.weight})"])
-    return EXIT_OK
+    return payload, [f"filtration = {value} (lift weight {form.weight})"]
 
 
-def _cmd_tate_cycle(args) -> int:
+def _cmd_tate_cycle(args):
     profile = tate_cycle(_lifted_form(args), cap=args.cap)
     fall_of = dict(zip(profile.low_points, profile.falls))
     lines = [
@@ -191,11 +184,12 @@ def _cmd_tate_cycle(args) -> int:
         f"base filtration {profile.base_filtration}",
         "i\tfiltration\tpoint\tfall",
     ]
+    csv_rows = []
     for i, w in enumerate(profile.filtrations, start=1):
-        mark = "high" if i in profile.high_points else (
-            "low" if i in profile.low_points else "")
-        fall = fall_of.get(i, "")
+        high, low, fall = i in profile.high_points, i in profile.low_points, fall_of.get(i, "")
+        mark = "high" if high else ("low" if low else "")
         lines.append(f"{i}\t{w}\t{mark}\t{fall}")
+        csv_rows.append({"i": i, "filtration": w, "high": high, "low": low, "fall": fall})
     payload = {
         "ell": profile.prime,
         "weight": profile.base_weight,
@@ -205,17 +199,10 @@ def _cmd_tate_cycle(args) -> int:
         "low_points": list(profile.low_points),
         "falls": list(profile.falls),
     }
-    csv_rows = [
-        {"i": i, "filtration": w,
-         "high": i in profile.high_points, "low": i in profile.low_points,
-         "fall": fall_of.get(i, "")}
-        for i, w in enumerate(profile.filtrations, start=1)
-    ]
-    _emit(args, payload, lines, csv_rows)
-    return EXIT_OK
+    return payload, lines, csv_rows
 
 
-def _cmd_find_congruences(args) -> int:
+def _cmd_find_congruences(args):
     spec = QuotientSpec(args.r, args.s, args.t)
     ell = args.ell
     if args.window is not None and not args.heuristic:
@@ -234,13 +221,13 @@ def _cmd_find_congruences(args) -> int:
         f"{spec} mod {ell}: method={report.method}",
         f"residues: {' '.join(map(str, report.residues)) if report.residues else '(none)'}",
     ]
-    _emit(args, record, lines, [record])
-    return EXIT_OK
+    return record, lines, [record]
 
 
-def _cmd_verify_theorem(args) -> int:
+def _cmd_verify_theorem(args):
     spec = QuotientSpec(args.r, args.s, args.t)
-    cache = None if args.no_cache else ResultsCache(_results_dir(args))
+    results_dir = args.results_dir or os.environ.get(RESULTS_DIR_ENV, "results")
+    cache = None if args.no_cache else ResultsCache(results_dir)
     result = verify_theorem(
         spec,
         use_remark=args.remark,
@@ -261,11 +248,10 @@ def _cmd_verify_theorem(args) -> int:
     for rep in result.sampled_above:
         lines.append(f"above bound ell={rep.ell}\t{rep.method}\tresidues: (none)")
     payload = result.to_json()
-    _emit(args, payload, lines, payload["reports"] + payload["sampled_above"])
-    return EXIT_OK
+    return payload, lines, payload["reports"] + payload["sampled_above"]
 
 
-def _cmd_verify_table(args) -> int:
+def _cmd_verify_table(args):
     rows = table_rows(args.row)
     summaries = verify_table(rows, terms=args.terms)
     lines = [
@@ -274,30 +260,16 @@ def _cmd_verify_table(args) -> int:
         for s in summaries
     ]
     lines.append(f"all {len(summaries)} claims hold")
-    _emit(args, {"rows": summaries}, lines, summaries)
-    return EXIT_OK
+    return {"rows": summaries}, lines, summaries
 
 
-def _cmd_a_tilde(args) -> int:
+def _cmd_a_tilde(args):
     poly = compute_a_tilde(args.ell)
     triples = [[a, b, c] for a, b, c in poly.terms]
     lines = [f"weight {poly.weight} polynomial mod {poly.prime}: {poly}"]
     lines += [f"Q^{a} R^{b}: {c}" for a, b, c in poly.terms]
     csv_rows = [{"a": a, "b": b, "coefficient": c} for a, b, c in poly.terms]
-    _emit(args, {"ell": args.ell, "weight": poly.weight, "terms": triples}, lines, csv_rows)
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "expand": _cmd_series,
-    "theta": _cmd_series,
-    "filtration": _cmd_filtration,
-    "tate-cycle": _cmd_tate_cycle,
-    "find-congruences": _cmd_find_congruences,
-    "verify-theorem": _cmd_verify_theorem,
-    "verify-table": _cmd_verify_table,
-    "a-tilde": _cmd_a_tilde,
-}
+    return {"ell": args.ell, "weight": poly.weight, "terms": triples}, lines, csv_rows
 
 
 def main(argv=None) -> int:
@@ -305,7 +277,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
-        return _COMMANDS[args.command](args)
+        _emit(args, *args.run(args))
+        return EXIT_OK
     except CounterexampleError as exc:
         print(f"counterexample: {exc}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE

@@ -150,47 +150,43 @@ def _scan(
     # the quotient modulo a multiple of ell (None where ell is not certified);
     # returns the report and how many terms of the quotient it read
     start = time.perf_counter()
-    report, window = _decide_prime(spec, ell, prefix)
+    window = 0
+    if ell in (2, 3):
+        report = CongruenceReport(spec, ell, METHOD_TRIVIAL_PRIME, tuple(range(1, ell)))
+    elif not admits_lift(spec, ell):
+        report = CongruenceReport(spec, ell, METHOD_BELOW_BOUND, ())
+    else:
+        precision = certificate_precision(spec, ell)
+        weight = lift_weight(spec, ell)
+        # a prefix at least as long as the whole window always decides
+        window = min(FIRST_WINDOW, precision)
+        try:
+            theta_kills, residues = congruence_scan(prefix.change_modulus(ell), ell, weight)
+        except PrecisionError:
+            # an undecided prefix: the whole window covers the Sturm range and decides
+            window = precision
+            theta_kills, residues = congruence_scan(
+                quotient_series(spec, ell, window), ell, weight
+            )
+        method = METHOD_RIGOROUS
+        if theta_kills:
+            if not theta_vanishes(spec, ell):
+                raise PrecisionError(
+                    f"theta-vanishing window {THETA_WINDOW_DEFAULT} disagrees with the "
+                    f"Sturm certificate at ell={ell}"
+                )
+            if ell >= 17 and not theta_zero_congruences_hold(spec, ell):
+                raise PrecisionError(
+                    f"theta image vanishes through precision at ell={ell} but the "
+                    "coefficient system forbids it"
+                )
+            method, residues = METHOD_THETA_VANISHING, tuple(range(1, ell))
+        report = CongruenceReport(spec, ell, method, residues, weight, precision)
     log.info(
         "scan mod %d: %s, precision %s, window %d, %.4f s",
         ell, report.method, report.precision, window, time.perf_counter() - start,
     )
     return report, window
-
-
-def _decide_prime(
-    spec: QuotientSpec, ell: int, prefix: TruncatedSeries | None
-) -> tuple[CongruenceReport, int]:
-    if ell in (2, 3):
-        return CongruenceReport(spec, ell, METHOD_TRIVIAL_PRIME, tuple(range(1, ell))), 0
-    if not admits_lift(spec, ell):
-        return CongruenceReport(spec, ell, METHOD_BELOW_BOUND, ()), 0
-    precision = certificate_precision(spec, ell)
-    weight = lift_weight(spec, ell)
-    # a prefix at least as long as the whole window always decides
-    window = min(FIRST_WINDOW, precision)
-    try:
-        theta_kills, residues = congruence_scan(prefix.change_modulus(ell), ell, weight)
-    except PrecisionError:
-        # an undecided prefix: the whole window covers the Sturm range and decides
-        window = precision
-        theta_kills, residues = congruence_scan(
-            quotient_series(spec, ell, window), ell, weight
-        )
-    method = METHOD_RIGOROUS
-    if theta_kills:
-        if not theta_vanishes(spec, ell):
-            raise PrecisionError(
-                f"theta-vanishing window {THETA_WINDOW_DEFAULT} disagrees with the Sturm "
-                f"certificate at ell={ell}"
-            )
-        if ell >= 17 and not theta_zero_congruences_hold(spec, ell):
-            raise PrecisionError(
-                f"theta image vanishes through precision at ell={ell} but the coefficient "
-                "system forbids it"
-            )
-        method, residues = METHOD_THETA_VANISHING, tuple(range(1, ell))
-    return CongruenceReport(spec, ell, method, residues, weight, precision), window
 
 
 def report_to_record(report: CongruenceReport, bound: int, version: str = __version__) -> dict:

@@ -107,13 +107,17 @@ def test_tate_cycle_command(capsys):
     assert payload["falls"] == [9, 9]
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this package."""
+    return {**os.environ, "PYTHONPATH": str(Path(eiscong.__file__).parents[1])}
+
+
 def loaded_by_import(module):
     # a fresh interpreter, so that no other test's imports are in sys.modules
-    env = {**os.environ, "PYTHONPATH": str(Path(eiscong.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, eiscong, eiscong.cli; print({module!r} in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=fresh_env(), check=True,
     )
     return proc.stdout.strip() == "True"
 
@@ -128,13 +132,40 @@ def test_package_imports_without_multiprocessing():
     assert not loaded_by_import("multiprocessing")
 
 
+def test_submodules_are_not_shadowed_by_reexports():
+    # `import eiscong.filtration as m` binds the package attribute, so a
+    # re-exported function of the same name would stand in for the module
+    code = (
+        "import importlib, pkgutil, eiscong.filtration as m, eiscong\n"
+        "print(m.__name__, m.represent.__name__, m.filtration.__name__)\n"
+        "for info in pkgutil.iter_modules(eiscong.__path__):\n"
+        "    module = importlib.import_module('eiscong.' + info.name)\n"
+        "    print(info.name, getattr(eiscong, info.name) is module)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=fresh_env(), check=True)
+    first, *rest = proc.stdout.splitlines()
+    assert first == "eiscong.filtration represent filtration"
+    assert len(rest) == 8
+    assert all(line.endswith(" True") for line in rest), rest
+
+
+def test_the_version_is_stated_once():
+    # the results cache's version gate reads __version__; the build reads it too
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "eiscong.__version__"}
+
+
 def test_verbose_tate_cycle_logs_the_cycle_and_its_filtration():
     # a fresh interpreter, so that --verbose configures logging itself
-    env = {**os.environ, "PYTHONPATH": str(Path(eiscong.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "eiscong.cli", "--verbose", "tate-cycle",
          "--r", "0", "--s", "-12", "--t", "1", "--ell", "17"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=fresh_env(), check=True,
     )
     assert "eiscong.tate" in proc.stderr
     assert "tate cycle mod 17: tagged weight 128, base filtration 128" in proc.stderr
@@ -143,11 +174,10 @@ def test_verbose_tate_cycle_logs_the_cycle_and_its_filtration():
 
 def test_a_closed_output_pipe_is_no_error():
     # as `eiscong ... | head -c 10`: the reader closes the pipe mid-output
-    env = {**os.environ, "PYTHONPATH": str(Path(eiscong.__file__).parents[1])}
     proc = subprocess.Popen(
         [sys.executable, "-m", "eiscong.cli", "--output", "json", "expand",
          "--r", "0", "--s", "1", "--t", "0", "--modulus", "7", "--terms", "200000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
     )
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
