@@ -98,7 +98,11 @@ def eisenstein_power_product(
     """E2^r * E4^s * E6^t mod modulus; exponents may be negative.
 
     All constant terms are 1, so negative powers always invert cleanly,
-    including modulo prime powers.  The product starts from the first
+    including modulo prime powers.  Where the modulus divides the cube
+    of the gcd of C_k and the modulus (E4 mod 9 and 27, E6 mod 27, 49
+    and 243), E_k = 1 - u with u^3 = 0, and its inverse is the exact sum
+    1 + u + u^2 (see `TruncatedSeries.invert`); other moduli invert by
+    Newton iteration.  The product starts from the first
     factor with a nonzero exponent; only E2^0 * E4^0 * E6^0 is the
     constant one.
     """

@@ -148,6 +148,17 @@ class IsobaricPolynomial:
             raise ValueError("coefficients must be canonical residues")
 
     @classmethod
+    def _of_residues(
+        cls, prime: int, weight: int, coeffs: tuple[int, ...]
+    ) -> "IsobaricPolynomial":
+        """The polynomial of canonical residues on the weight's layout, not checked again."""
+        poly = cls.__new__(cls)
+        object.__setattr__(poly, "prime", prime)
+        object.__setattr__(poly, "weight", weight)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
+    @classmethod
     def from_dense(
         cls, prime: int, weight: int, coeffs: Sequence[int]
     ) -> "IsobaricPolynomial":
@@ -179,7 +190,7 @@ class IsobaricPolynomial:
         kbf = dense_product(ell, ell + 1, compute_b_tilde(ell).coeffs, weight, self.coeffs)
         ad = dense_product(ell, ell - 1, compute_a_tilde(ell).coeffs, weight + 2, derivative)
         inv12 = pow(12, -1, ell)
-        return IsobaricPolynomial(
+        return IsobaricPolynomial._of_residues(
             ell, weight + ell + 1, tuple((weight * x - y) * inv12 % ell for x, y in zip(kbf, ad))
         )
 
@@ -208,7 +219,7 @@ class IsobaricPolynomial:
             q = tuple(q[top:])
             if tuple(dense_product(ell, weight, q, ell - 1, d)) != poly.coeffs:
                 break
-            poly, count = IsobaricPolynomial(ell, weight, q), count + 1
+            poly, count = IsobaricPolynomial._of_residues(ell, weight, q), count + 1
         return poly, count
 
     def evaluate(self, terms_count: int) -> TruncatedSeries:
@@ -263,7 +274,7 @@ def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None
     sol = solve_mod_prime(matrix, rhs, ell)
     if sol is None:
         return None
-    return IsobaricPolynomial(ell, weight, sol)  # sol holds canonical residues
+    return IsobaricPolynomial._of_residues(ell, weight, tuple(sol))
 
 
 def _tagged_polynomial(form: ModularFormModEll) -> IsobaricPolynomial:

@@ -438,13 +438,20 @@ def verify_table(rows=BERNDT_YEE_TABLE, terms: int = 3000) -> list[dict]:
     carries the window it was checked at.  Any nonzero coefficient in a
     claimed progression aborts with the offending exponent, because the
     rows are proved facts and a hit means the arithmetic here is wrong.
+    Each row logs one INFO line with its name, modulus, window and time,
+    before its check.
     """
     if terms < 100:
         raise ValueError("table verification below 100 terms is not meaningful")
     out = []
     for row in rows:
+        start = time.perf_counter()
         series = eisenstein_power_product(row.r, row.s, row.t, row.modulus, terms)
         progression = series.extract_progression(row.residue, row.step)
+        log.info(
+            "table row %s mod %d: window %d, %.4f s",
+            row.name, row.modulus, terms, time.perf_counter() - start,
+        )
         if not progression.is_zero():
             n = row.step * progression.valuation + row.residue
             raise CounterexampleError(

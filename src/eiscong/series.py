@@ -10,6 +10,7 @@ its precision is a proven one, but not always the largest provable.
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from typing import Iterable, Sequence
@@ -217,14 +218,24 @@ class TruncatedSeries:
         return TruncatedSeries._of_residues(self.modulus, conv, v)
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse, by Newton iteration on the window.
+        """Multiplicative inverse: a finite geometric sum, or Newton iteration.
 
-        Each step doubles the known length h of the inverse g to k.  As
-        f*g = 1 + O(q^h), the product's terms h..k-1 are the whole error
-        e, and g - q^h*g*e is the inverse mod q^k: the step appends
-        -(g*e) mod q^(k-h) to g, a half-length product.  Requires
-        valuation 0 and a unit constant term (in this package the
-        constant term is always 1).
+        Write f = lead^-1 * (1 - u), with lead the inverse of the
+        constant term, and let d = gcd(m, coefficients of q^1 onward);
+        d divides every coefficient of u.  When d^3 = 0 mod m, every
+        coefficient of u^3 is a multiple of d^3, so u^3 = 0 and
+        1/f = lead * (1 + u + u^2) exactly.  With u = d*v, the square
+        d^2 * v^2 mod m depends only on v^2 mod m / gcd(m, d^2): it is
+        zero when that is 1 (1/E6 mod 27 and mod 49 are 2 - E6), and one
+        short product over that small modulus otherwise (1/E6 mod 243).
+
+        Every other series takes Newton's loop.  Each step doubles the
+        known length h of the inverse g to k.  As f*g = 1 + O(q^h), the
+        product's terms h..k-1 are the whole error e, and g - q^h*g*e is
+        the inverse mod q^k: the step appends -(g*e) mod q^(k-h) to g, a
+        half-length product.  Both paths give the unique inverse on the
+        window.  Requires valuation 0 and a unit constant term (in this
+        package the constant term is always 1).
         """
         if self.valuation != 0:
             raise ValueError(
@@ -240,6 +251,17 @@ class TruncatedSeries:
                 f"constant term {self.coeffs[0]} is not a unit modulo {m}"
             ) from exc
         n = len(self.coeffs)
+        d = math.gcd(m, *self.coeffs[1:])
+        if d**3 % m == 0:
+            u = [0] + [(-lead * c) % m for c in self.coeffs[1:]]
+            square = m // math.gcd(m, d * d)
+            if square > 1:
+                # v = u / d, reduced: _convolve needs residues below its modulus
+                v = [c // d % square for c in u]
+                for i, c in enumerate(_convolve(v, v, square, n)):
+                    u[i] += d * d * c
+            u[0] = 1
+            return TruncatedSeries._of_residues(m, [lead * c % m for c in u])
         g = [lead]
         while len(g) < n:
             h = len(g)

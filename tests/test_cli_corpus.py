@@ -81,6 +81,7 @@ CASES = [
     f"--verbose --results-dir {{tmp}}/verbose verify-theorem {WEIGHT_TEN} --remark",
     f"--verbose find-congruences {SPEC} --ell 17",
     f"--verbose tate-cycle {WEIGHT_TEN} --ell 13",
+    "--verbose verify-table --row 1/E6 --terms 300",
 ]
 
 MASKS = [

@@ -360,6 +360,20 @@ def test_strip_a_tilde_matches_long_division(ell):
     assert mismatches == []
 
 
+@pytest.mark.parametrize("ell", [5, 7, 13, 31])
+def test_internal_builders_pass_the_checked_constructor(ell):
+    # represent, theta and strip_a_tilde skip the constructor's checks; each
+    # polynomial they build along a theta cycle must pass them unchanged
+    form = eis_product(1, 1, 1, ell, sturm(ell + 11) + 1)
+    poly = represent(form, form.weight)
+    built = [poly, compute_a_tilde(ell), compute_b_tilde(ell)]
+    for _ in range(ell):
+        image = poly.theta()
+        poly, _ = image.strip_a_tilde()
+        built += [image, poly]
+    assert [IsobaricPolynomial(p.prime, p.weight, p.coeffs) for p in built] == built
+
+
 def test_a_tilde_has_a_unit_coefficient_at_the_lowest_r_exponent():
     # strip_a_tilde pivots on it: R^2 never divides A~
     primes = primerange(5, TATE_CYCLE_CAP + 1)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import eiscong.series as series_module
+from eiscong.eisenstein import eisenstein_series
 from eiscong.series import (
     ModulusMismatchError,
     PrecisionError,
@@ -274,6 +276,67 @@ def unit_window(draw):
 @given(unit_window())
 def test_half_length_newton_matches_the_full_correction(f):
     assert list(f.invert().coeffs) == invert_full_correction(f.coeffs, f.modulus)
+
+
+#: prime-power factorisations of moduli where a shared factor d of the
+#: coefficients from q^1 on can reach d^3 = 0 (mod m); 54 = 2 * 27 has
+#: d = 6 with d^3 = 0 but d^2 not dividing m
+SHARED_FACTOR_MODULI = (
+    ((2, 3),), ((3, 2),), ((3, 3),), ((3, 5),), ((7, 2),), ((7, 3),), ((3, 20),),
+    ((7, 12),), ((3, 2), (7, 2)), ((2, 1), (3, 3)), ((2, 2), (3, 3)),
+)
+
+
+@st.composite
+def shared_factor_window(draw):
+    factors = draw(st.sampled_from(SHARED_FACTOR_MODULI))
+    m = math.prod(p**k for p, k in factors)
+    d = math.prod(p ** draw(st.integers(0, k)) for p, k in factors)
+    n = draw(st.integers(1, 70))
+    rest = draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+    lead = draw(st.one_of(st.just(1), st.just(m - 1), st.integers(2, m - 1)))
+    assume(math.gcd(lead, m) == 1)
+    return TruncatedSeries(m, [lead] + [d * c for c in rest])
+
+
+@settings(max_examples=300)
+@given(shared_factor_window())
+@example(TruncatedSeries(54, [5, 6, 12, 30, 48]))
+@example(TruncatedSeries(441, [2, 21, 0, 42, 441 - 21]))
+def test_geometric_sum_inverse_matches_the_full_correction(f):
+    assert list(f.invert().coeffs) == invert_full_correction(f.coeffs, f.modulus)
+
+
+#: (weight, modulus) at 4000 terms: E6 mod 243 squares u over Z/3, E4 mod 27
+#: over Z/3, E6 mod 49 needs no product, E2 mod 81 stays on Newton
+LONG_INVERSES = ((6, 243), (4, 27), (6, 49), (2, 81))
+
+
+@pytest.mark.parametrize("weight, modulus", LONG_INVERSES)
+def test_long_eisenstein_inverses_match_the_full_correction(weight, modulus):
+    f = eisenstein_series(weight, modulus, 4000)
+    assert list(f.invert().coeffs) == invert_full_correction(f.coeffs, modulus)
+
+
+@pytest.mark.parametrize(
+    "weight, modulus, products",
+    [(6, 49, []), (6, 243, [3]), (4, 9, []), (2, 81, [81] * 24)],
+)
+def test_invert_takes_the_geometric_sum_exactly_when_u_cubed_vanishes(
+    monkeypatch, weight, modulus, products
+):
+    # the modulus of each product: none for 2 - E6, one over Z/3 for
+    # 1/E6 mod 243, and two per Newton doubling from 1 to 4000 terms
+    f = eisenstein_series(weight, modulus, 4000)
+    moduli = []
+
+    def counting(a, b, m, terms=None):
+        moduli.append(m)
+        return _convolve(a, b, m, terms)
+
+    monkeypatch.setattr(series_module, "_convolve", counting)
+    f.invert()
+    assert moduli == products
 
 
 # ---------------------------------------------------------------------------
