@@ -6,9 +6,7 @@ from .series import TruncatedSeries, ModulusMismatchError, PrecisionError
 from .eisenstein import (
     QuotientSpec,
     LiftedForm,
-    sigma,
     eisenstein_series,
-    eisenstein_reduced,
     eisenstein_power_product,
     quotient_series,
     quotient_q_coefficient,
@@ -29,9 +27,7 @@ from .filtration import (
 from .tate import (
     TateCycleProfile,
     CongruenceReport,
-    legendre,
     tate_cycle,
-    rigorous_simple_congruence,
     certified_residues,
     heuristic_simple_congruences,
     theta_vanishes,
@@ -46,7 +42,6 @@ from .scanner import (
     BERNDT_YEE_TABLE,
     theorem_bound,
     remark_bound,
-    case_split,
     certificate_precision,
     profile_precision,
     scan_prime,

@@ -3,13 +3,13 @@
 The three series are 1 + C_k * sum sigma_{k-1}(n) q^n with the integer
 constants C_2 = -24, C_4 = 240, C_6 = -504.  General-weight Eisenstein
 series enter only through their classical reductions mod a prime ell:
-E_{ell-1} reduces to 1 and E_{ell+1} reduces to E2, so no Bernoulli
-number is ever computed.
+E_{ell-1} reduces to 1 and E_{ell+1} reduces to E2 (see
+`compute_a_tilde` and `compute_b_tilde` in `eiscong.filtration`), so no
+Bernoulli number is ever computed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,20 +18,6 @@ from .series import TruncatedSeries
 
 #: the exact integers -2k/B_k for k = 2, 4, 6
 WEIGHT_CONSTANTS = {2: -24, 4: 240, 6: -504}
-
-
-def sigma(power: int, n: int) -> int:
-    """Sum of the power-th powers of the divisors of n, as an exact integer."""
-    if n < 1:
-        raise ValueError(f"divisor sums need n >= 1, got {n}")
-    total = 0
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            total += d**power
-            e = n // d
-            if e != d:
-                total += e**power
-    return total
 
 
 @lru_cache(maxsize=None)
@@ -60,20 +46,6 @@ def eisenstein_series(weight: int, modulus: int, terms: int) -> TruncatedSeries:
     sigmas = _sigma_table(weight - 1, 1 << (terms - 1).bit_length())[: terms - 1]
     vals = [1] + [(c * s) % modulus for s in sigmas]
     return TruncatedSeries._of_residues(modulus, vals)
-
-
-def eisenstein_reduced(weight_offset: int, ell: int, terms: int) -> TruncatedSeries:
-    """Reduction mod ell of E_{ell-1} (offset -1) or E_{ell+1} (offset +1).
-
-    These are the classical identities E_{ell-1} = 1 and E_{ell+1} = E2
-    in characteristic ell.
-    """
-    if weight_offset not in (-1, 1):
-        raise ValueError("weight_offset must be -1 or +1")
-    require_prime(ell)
-    if weight_offset == -1:
-        return TruncatedSeries.one(ell, terms)
-    return eisenstein_series(2, ell, terms)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .eisenstein import LiftedForm, eisenstein_reduced, eisenstein_series
+from .eisenstein import LiftedForm, eisenstein_series
 from .linalg import solve_mod_prime
 from .primes import require_prime
 from .series import PrecisionError, TruncatedSeries, _convolve
@@ -116,12 +116,6 @@ class ModularFormModEll:
     def precision(self) -> int:
         return self.series.precision
 
-    def theta_image(self) -> "ModularFormModEll":
-        """Apply q d/dq; the nominal weight grows by prime + 1."""
-        return ModularFormModEll(
-            self.prime, self.weight + self.prime + 1, self.series.theta()
-        )
-
 
 @dataclass(frozen=True)
 class IsobaricPolynomial:
@@ -157,13 +151,6 @@ class IsobaricPolynomial:
         object.__setattr__(poly, "weight", weight)
         object.__setattr__(poly, "coeffs", coeffs)
         return poly
-
-    @classmethod
-    def from_dense(
-        cls, prime: int, weight: int, coeffs: Sequence[int]
-    ) -> "IsobaricPolynomial":
-        """The polynomial with the given coefficients, reduced mod the prime."""
-        return cls(prime, weight, tuple(c % prime for c in coeffs))
 
     @property
     def terms(self) -> tuple[tuple[int, int, int], ...]:
@@ -221,15 +208,6 @@ class IsobaricPolynomial:
                 break
             poly, count = IsobaricPolynomial._of_residues(ell, weight, q), count + 1
         return poly, count
-
-    def evaluate(self, terms_count: int) -> TruncatedSeries:
-        """Substitute Q -> E4 and R -> E6 and expand mod the prime."""
-        total = TruncatedSeries.zero(self.prime, terms_count)
-        e4 = eisenstein_series(4, self.prime, terms_count)
-        e6 = eisenstein_series(6, self.prime, terms_count)
-        for a, b, c in self.terms:
-            total = total.add(e4.pow(a).mul(e6.pow(b)).scale(c))
-        return total
 
     def __str__(self):
         if not self.terms:
@@ -333,14 +311,20 @@ def filtration(form: ModularFormModEll) -> int:
 
 @lru_cache(maxsize=None)
 def compute_a_tilde(ell: int) -> IsobaricPolynomial:
-    """The weight-(ell-1) polynomial in Q, R whose value at (E4, E6) is 1 mod ell."""
-    # ell terms cover the Sturm range, and eisenstein_reduced checks the prime
-    target = eisenstein_reduced(-1, ell, ell)
-    return _tagged_polynomial(ModularFormModEll(ell, ell - 1, target))
+    """The weight-(ell-1) polynomial in Q, R whose value at (E4, E6) is 1 mod ell.
+
+    It writes E_{ell-1} at its weight, and E_{ell-1} = 1 mod ell.
+    """
+    require_prime(ell)
+    # ell terms cover the Sturm range
+    return _tagged_polynomial(ModularFormModEll(ell, ell - 1, TruncatedSeries.one(ell, ell)))
 
 
 @lru_cache(maxsize=None)
 def compute_b_tilde(ell: int) -> IsobaricPolynomial:
-    """The weight-(ell+1) polynomial in Q, R whose value at (E4, E6) is E2 mod ell."""
-    target = eisenstein_reduced(1, ell, ell)
-    return _tagged_polynomial(ModularFormModEll(ell, ell + 1, target))
+    """The weight-(ell+1) polynomial in Q, R whose value at (E4, E6) is E2 mod ell.
+
+    It writes E_{ell+1} at its weight, and E_{ell+1} = E2 mod ell.
+    """
+    require_prime(ell)
+    return _tagged_polynomial(ModularFormModEll(ell, ell + 1, eisenstein_series(2, ell, ell)))

@@ -77,22 +77,6 @@ def remark_bound(spec: QuotientSpec) -> int:
     return max(*shared, 21 - 8 * spec.s - 12 * spec.t)
 
 
-def case_split(spec: QuotientSpec, ell: int) -> int:
-    """Which size regime of r + 4s + 6t applies at ell (1 through 4).
-
-    1: at least ell in absolute value; 2: strictly between 0 and ell;
-    3: zero; 4: strictly between -ell and 0.  Exactly one holds.
-    """
-    total = spec.r + 4 * spec.s + 6 * spec.t
-    if abs(total) >= ell:
-        return 1
-    if total > 0:
-        return 2
-    if total == 0:
-        return 3
-    return 4
-
-
 def certificate_precision(spec: QuotientSpec, ell: int) -> int:
     """Series length needed for the congruence certificate at ell."""
     return sturm(lift_weight(spec, ell) + (ell + 1) ** 2 // 2) + 2
@@ -321,10 +305,12 @@ def verify_theorem(
     a counterexample.  With a cache, previously scanned primes are not
     recomputed: the quotient's records are read once, and only the
     primes scanned in this call are appended.  A negative
-    `sample_above` is a ValueError.
+    `sample_above` and fewer than one job are ValueErrors.
     """
     if sample_above < 0:
         raise ValueError(f"sample_above must be nonnegative, got {sample_above}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.perf_counter()
     t_bound = theorem_bound(spec)
     r_bound = remark_bound(spec)

@@ -33,7 +33,7 @@ from .eisenstein import (
     quotient_series,
 )
 from .filtration import IsobaricPolynomial, ModularFormModEll, filtration_polynomial, sturm
-from .primes import prime_factors, require_prime
+from .primes import prime_factors
 from .series import PrecisionError, TruncatedSeries
 
 log = logging.getLogger(__name__)
@@ -53,15 +53,6 @@ METHOD_HEURISTIC = "heuristic"
 METHOD_THETA_VANISHING = "theta-vanishing"
 METHOD_TRIVIAL_PRIME = "trivial-prime"
 METHOD_BELOW_BOUND = "below-bound-by-size"
-
-
-def legendre(c: int, ell: int) -> int:
-    """Legendre symbol (c | ell) by Euler's criterion."""
-    require_prime(ell, 3)
-    c %= ell
-    if c == 0:
-        return 0
-    return 1 if pow(c, (ell - 1) // 2, ell) == 1 else -1
 
 
 @dataclass(frozen=True)
@@ -236,21 +227,6 @@ def certified_residues(form: ModularFormModEll) -> tuple[int, ...]:
             "and the criterion does not apply"
         )
     return residues
-
-
-def rigorous_simple_congruence(form: ModularFormModEll, c: int) -> bool:
-    """Finite certificate for a simple congruence of the form at c, 1 <= c <= ell-1.
-
-    c = 0 is not accepted: the quotients this package studies all have
-    constant term 1, which settles that case negatively by inspection.
-    """
-    ell = form.prime
-    if not 1 <= c <= ell - 1:
-        raise ValueError(
-            f"c must be a nonzero residue mod {ell}; "
-            "c = 0 is decided by the constant term"
-        )
-    return c in certified_residues(form)
 
 
 def heuristic_simple_congruences(series: TruncatedSeries, ell: int) -> frozenset[int]:

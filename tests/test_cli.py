@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,26 @@ def test_submodules_are_not_shadowed_by_reexports():
     assert first == "eiscong.filtration represent filtration"
     assert len(rest) == 8
     assert all(line.endswith(" True") for line in rest), rest
+
+
+def test_the_library_surface_is_pinned():
+    # every public name the package exports, so that a change to it shows here
+    public = sorted(name for name, value in vars(eiscong).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == [
+        "BERNDT_YEE_TABLE", "CongruenceReport", "CounterexampleError",
+        "IsobaricPolynomial", "LiftedForm", "ModularFormModEll", "ModulusMismatchError",
+        "PrecisionError", "QuotientSpec", "ResultsCache", "ScanResult", "TableRow",
+        "TateCycleProfile", "TruncatedSeries", "certificate_precision",
+        "certified_residues", "compute_a_tilde", "compute_b_tilde",
+        "eisenstein_power_product", "eisenstein_series", "heuristic_simple_congruences",
+        "lift_weight", "monomial_basis", "monomial_exponents", "profile_precision",
+        "quotient_q2_coefficient", "quotient_q_coefficient", "quotient_series",
+        "remark_bound", "replacement_lift", "represent", "scan_prime", "sturm",
+        "tate_cycle", "theorem_bound", "theta_vanishes",
+        "theta_vanishing_prime_candidates", "theta_zero_congruences_hold",
+        "verify_table", "verify_theorem",
+    ]
 
 
 def test_the_version_is_stated_once():

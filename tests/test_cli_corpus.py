@@ -82,6 +82,7 @@ CASES = [
     f"--verbose find-congruences {SPEC} --ell 17",
     f"--verbose tate-cycle {WEIGHT_TEN} --ell 13",
     "--verbose verify-table --row 1/E6 --terms 300",
+    f"--jobs 0 verify-theorem {WEIGHT_TEN} --no-cache",
 ]
 
 MASKS = [

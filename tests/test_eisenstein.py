@@ -10,7 +10,6 @@ from eiscong.eisenstein import (
     LiftedForm,
     QuotientSpec,
     eisenstein_power_product,
-    eisenstein_reduced,
     eisenstein_series,
     lift_weight,
     quotient_q2_coefficient,
@@ -18,7 +17,6 @@ from eiscong.eisenstein import (
     quotient_series,
     _sigma_table,
     replacement_lift,
-    sigma,
 )
 from eiscong.series import TruncatedSeries
 
@@ -28,9 +26,10 @@ def brute_sigma(power, n):
 
 
 def test_sigma_examples():
-    assert sigma(1, 6) == 12
-    assert sigma(3, 1) == 1
-    assert sigma(3, 2) == 9
+    assert _sigma_table(1, 7)[5] == 12
+    assert _sigma_table(3, 1) == ()
+    assert _sigma_table(3, 2) == (1,)
+    assert _sigma_table(3, 3) == (1, 9)
 
 
 def test_sigma_matches_full_divisor_enumeration():
@@ -38,7 +37,7 @@ def test_sigma_matches_full_divisor_enumeration():
     for _ in range(60):
         power = rng.randrange(0, 6)
         n = rng.randrange(1, 400)
-        assert sigma(power, n) == brute_sigma(power, n)
+        assert _sigma_table(power, 400)[n - 1] == brute_sigma(power, n)
 
 
 def test_sigma_table_sieve_matches_sigma():
@@ -46,16 +45,8 @@ def test_sigma_table_sieve_matches_sigma():
     for power in (1, 3, 5):
         for terms in (1, 2, 3, 4, 5, 3000, 3001):
             assert _sigma_table(power, terms) == tuple(
-                sigma(power, n) for n in range(1, terms)
+                brute_sigma(power, n) for n in range(1, terms)
             )
-    assert _sigma_table(3, 1) == ()
-    assert _sigma_table(3, 2) == (1,)
-    assert _sigma_table(3, 3) == (1, 9)
-
-
-def test_sigma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        sigma(1, 0)
 
 
 def test_series_constants():
@@ -93,24 +84,16 @@ def test_weight_12_reduction_is_one_mod_13():
     inv691 = pow(691, -1, 13)
     e12 = (e4.pow(3).scale(441) + e6.pow(2).scale(250)).scale(inv691)
     assert e12 == TruncatedSeries.one(13, n)
-    assert eisenstein_reduced(-1, 13, n) == e12
 
 
 def test_weight_below_reduces_to_one_mod_5():
     # 5 divides 240, so E4 is already 1 mod 5
     assert eisenstein_series(4, 5, 25) == TruncatedSeries.one(5, 25)
-    assert eisenstein_reduced(-1, 5, 25) == TruncatedSeries.one(5, 25)
 
 
 def test_weight_above_reduces_to_e2():
-    assert eisenstein_reduced(1, 5, 30) == eisenstein_series(2, 5, 30)
-
-
-def test_reduced_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        eisenstein_reduced(0, 13, 5)
-    with pytest.raises(ValueError):
-        eisenstein_reduced(-1, 4, 5)
+    # -504 = 1 = -24 and sigma_5(n) = sigma_1(n) mod 5, so E6 is E2 mod 5
+    assert eisenstein_series(6, 5, 30) == eisenstein_series(2, 5, 30)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from eiscong.scanner import (
     ResultsCache,
     ScanResult,
     TableRow,
-    case_split,
     certificate_precision,
     remark_bound,
     report_to_record,
@@ -73,25 +72,6 @@ def test_remark_bound_examples():
 def test_remark_never_exceeds_theorem():
     for spec in random_specs(500, seed=42):
         assert remark_bound(spec) <= theorem_bound(spec), spec
-
-
-def test_case_split_is_total_and_single_valued():
-    rng = random.Random(9)
-    for spec in random_specs(500, seed=3):
-        ell = rng.choice([5, 7, 11, 13, 17, 19, 23])
-        total = spec.r + 4 * spec.s + 6 * spec.t
-        case = case_split(spec, ell)
-        holds = [
-            abs(total) >= ell,
-            0 < total < ell,
-            total == 0,
-            -ell < total < 0,
-        ]
-        if abs(total) >= ell:
-            assert case == 1
-        else:
-            assert holds.count(True) == 1
-            assert holds[case - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +255,12 @@ def test_sweep_is_deterministic():
 def test_sweep_rejects_a_negative_sample():
     with pytest.raises(ValueError, match="sample_above must be nonnegative, got -1"):
         verify_theorem(QuotientSpec(0, 1, 1), sample_above=-1)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sweep_rejects_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        verify_theorem(QuotientSpec(0, 1, 1), jobs=jobs)
 
 
 def test_parallel_sweep_matches_serial():

@@ -24,8 +24,6 @@ from eiscong.tate import (
     certified_residues,
     congruence_scan,
     heuristic_simple_congruences,
-    legendre,
-    rigorous_simple_congruence,
     tate_cycle,
     theta_vanishes,
     theta_vanishing_prime_candidates,
@@ -39,29 +37,6 @@ def lifted_form(spec, ell, terms):
 
 EXAMPLE = QuotientSpec(0, -12, 1)  # E6 / E4^12
 NONRESIDUES_17 = (3, 5, 6, 7, 10, 11, 12, 14)
-
-
-# ---------------------------------------------------------------------------
-# legendre
-
-
-def test_legendre_examples():
-    assert legendre(0, 17) == 0
-    assert legendre(2, 17) == 1   # 6^2 = 36 = 2 mod 17
-    assert legendre(3, 17) == -1
-
-
-def test_legendre_against_brute_force():
-    for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        squares = {pow(x, 2, ell) for x in range(1, ell)}
-        for c in range(ell):
-            expected = 0 if c == 0 else (1 if c in squares else -1)
-            assert legendre(c, ell) == expected
-
-
-def test_legendre_rejects_composites():
-    with pytest.raises(ValueError):
-        legendre(2, 15)
 
 
 # ---------------------------------------------------------------------------
@@ -132,34 +107,25 @@ def test_cycle_rejects_theta_killed_forms():
 
 def test_certificate_at_17():
     form = lifted_form(EXAMPLE, 17, certificate_precision(EXAMPLE, 17))
-    assert rigorous_simple_congruence(form, 3) is True
-    assert rigorous_simple_congruence(form, 2) is False
     assert certified_residues(form) == NONRESIDUES_17
-
-
-def test_certificate_rejects_c_zero():
-    form = lifted_form(EXAMPLE, 17, certificate_precision(EXAMPLE, 17))
-    with pytest.raises(ValueError):
-        rigorous_simple_congruence(form, 0)
 
 
 def test_no_congruences_at_19():
     form = lifted_form(EXAMPLE, 19, certificate_precision(EXAMPLE, 19))
     assert certified_residues(form) == ()
-    assert all(not rigorous_simple_congruence(form, c) for c in range(1, 19))
 
 
 def test_certificate_requires_enough_precision():
     form = lifted_form(EXAMPLE, 17, 10)
     with pytest.raises(PrecisionError):
-        rigorous_simple_congruence(form, 3)
+        certified_residues(form)
 
 
 def test_certificate_rejects_theta_killed_forms():
     spec = QuotientSpec(0, -1, 0)
     form = lifted_form(spec, 5, certificate_precision(spec, 5))
-    with pytest.raises(ValueError):
-        rigorous_simple_congruence(form, 1)
+    with pytest.raises(ValueError, match="theta kills this form"):
+        certified_residues(form)
 
 
 def test_flagged_residues_form_quadratic_classes():
@@ -171,7 +137,7 @@ def test_flagged_residues_form_quadratic_classes():
                 flagged = set(certified_residues(form))
             except ValueError:
                 continue  # theta-killed: a different regime entirely
-            residues = {c for c in range(1, ell) if legendre(c, ell) == 1}
+            residues = {x * x % ell for x in range(1, ell)}
             nonresidues = set(range(1, ell)) - residues
             assert flagged in (set(), residues, nonresidues, residues | nonresidues)
 
@@ -334,8 +300,9 @@ def ladder_scan_prime(spec, ell):
             weight=form.weight, precision=precision,
         )
     squares, nonsquares = flags
+    quadratic_residues = {x * x % ell for x in range(1, ell)}
     residues = tuple(
-        c for c in range(1, ell) if (squares if legendre(c, ell) == 1 else nonsquares)
+        c for c in range(1, ell) if (squares if c in quadratic_residues else nonsquares)
     )
     return CongruenceReport(
         spec, ell, METHOD_RIGOROUS, residues, weight=form.weight, precision=precision
