@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .series import TruncatedSeries, ModulusMismatchError, PrecisionError
 from .eisenstein import (
     QuotientSpec,
-    LiftedForm,
     eisenstein_series,
     eisenstein_power_product,
     quotient_series,

@@ -164,8 +164,7 @@ def _cmd_series(args):
 def _lifted_form(args) -> ModularFormModEll:
     # the Sturm prefix of the lift weight is all that filtration and cycle read
     spec = QuotientSpec(args.r, args.s, args.t)
-    lifted = replacement_lift(spec, args.ell, profile_precision(spec, args.ell))
-    return ModularFormModEll.from_lift(lifted)
+    return replacement_lift(spec, args.ell, profile_precision(spec, args.ell))
 
 
 def _cmd_filtration(args):

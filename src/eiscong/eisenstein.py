@@ -121,23 +121,7 @@ def admits_lift(spec: QuotientSpec, ell: int) -> bool:
     return ell + spec.s >= 0 and ell + spec.t >= 0
 
 
-@dataclass(frozen=True)
-class LiftedForm:
-    """A genuine level-one modular form mod ell sharing the quotient's congruences."""
-
-    spec: QuotientSpec
-    prime: int
-    weight: int
-    series: TruncatedSeries
-
-    def __post_init__(self):
-        if self.weight != lift_weight(self.spec, self.prime):
-            raise ValueError("weight does not match the lift of the quotient")
-        if not admits_lift(self.spec, self.prime):
-            raise ValueError("lift exponents must be nonnegative")
-
-
-def replacement_lift(spec: QuotientSpec, ell: int, terms: int) -> LiftedForm:
+def replacement_lift(spec: QuotientSpec, ell: int, terms: int) -> "ModularFormModEll":
     """Replace the quotient by E2^r * E4^(ell+s) * E6^(ell+t) mod ell.
 
     This multiplies by the ell-th power of the unit series E4*E6, which
@@ -145,6 +129,9 @@ def replacement_lift(spec: QuotientSpec, ell: int, terms: int) -> LiftedForm:
     weight (r+10)*ell + (r+4s+6t) modular forms.  Since E2 reduces to
     E_{ell+1}, the result really is the reduction of a modular form.
     """
+    # imported here: filtration imports this module
+    from .filtration import ModularFormModEll
+
     require_prime(ell)
     if not admits_lift(spec, ell):
         raise ValueError(
@@ -152,4 +139,4 @@ def replacement_lift(spec: QuotientSpec, ell: int, terms: int) -> LiftedForm:
             "no lift of this shape exists (the prime is below the size bound)"
         )
     series = eisenstein_power_product(spec.r, ell + spec.s, ell + spec.t, ell, terms)
-    return LiftedForm(spec=spec, prime=ell, weight=lift_weight(spec, ell), series=series)
+    return ModularFormModEll(ell, lift_weight(spec, ell), series)

@@ -33,7 +33,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .eisenstein import LiftedForm, eisenstein_series
+from .eisenstein import eisenstein_series
 from .linalg import solve_mod_prime
 from .primes import require_prime
 from .series import PrecisionError, TruncatedSeries, _convolve
@@ -109,7 +109,7 @@ class ModularFormModEll:
             raise ValueError("modular form reductions have no negative exponents")
 
     @classmethod
-    def from_lift(cls, lifted: LiftedForm) -> "ModularFormModEll":
+    def from_lift(cls, lifted: "ModularFormModEll") -> "ModularFormModEll":
         return cls(lifted.prime, lifted.weight, lifted.series)
 
     @property

@@ -173,10 +173,10 @@ def _scan(
     return report, window
 
 
-def report_to_record(report: CongruenceReport, bound: int, version: str = __version__) -> dict:
+def report_to_record(report: CongruenceReport, bound: int) -> dict:
     spec = report.spec
     values = (spec.r, spec.s, spec.t, report.ell, report.method, list(report.residues),
-              report.weight, report.precision, bound, version)
+              report.weight, report.precision, bound, __version__)
     return dict(zip(RECORD_FIELDS, values, strict=True))
 
 
@@ -203,15 +203,11 @@ class ScanResult:
     identity_quotient: bool
     reports: tuple[CongruenceReport, ...]
     sampled_above: tuple[CongruenceReport, ...]
-    version: str
     started_at: str
     finished_at: str
 
     def to_records(self) -> list[dict]:
-        return [
-            report_to_record(rep, self.bound, self.version)
-            for rep in self.reports + self.sampled_above
-        ]
+        return [report_to_record(rep, self.bound) for rep in self.reports + self.sampled_above]
 
     def to_json(self) -> dict:
         records = self.to_records()
@@ -222,7 +218,7 @@ class ScanResult:
             "theorem_bound": self.theorem_bound,
             "remark_bound": self.remark_bound,
             "identity_quotient": self.identity_quotient,
-            "version": self.version,
+            "version": __version__,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "reports": records[: len(self.reports)],
@@ -238,9 +234,8 @@ class ResultsCache:
     warning; bumping the version invalidates all earlier lines.
     """
 
-    def __init__(self, directory: str | os.PathLike, version: str = __version__):
+    def __init__(self, directory: str | os.PathLike):
         self.directory = Path(directory)
-        self.version = version
 
     def path_for(self, spec: QuotientSpec) -> Path:
         return self.directory / f"scan-{spec.r}_{spec.s}_{spec.t}.jsonl"
@@ -261,10 +256,10 @@ class ResultsCache:
                 except json.JSONDecodeError:
                     log.warning("skipping corrupt record at %s:%d", path, lineno)
                     continue
-                if not all(k in record for k in RECORD_FIELDS):
+                if not (isinstance(record, dict) and all(k in record for k in RECORD_FIELDS)):
                     log.warning("skipping incomplete record at %s:%d", path, lineno)
                     continue
-                if record["version"] == self.version and (
+                if record["version"] == __version__ and (
                     record["r"], record["s"], record["t"]
                 ) == (spec.r, spec.s, spec.t):
                     latest[record["ell"]] = record
@@ -354,7 +349,6 @@ def verify_theorem(
         identity_quotient=identity,
         reports=tuple(reports[ell] for ell in primes),
         sampled_above=tuple(reports[ell] for ell in above),
-        version=__version__,
         started_at=started,
         finished_at=datetime.now(timezone.utc).isoformat(),
     )

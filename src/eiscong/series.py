@@ -136,10 +136,6 @@ class TruncatedSeries:
         self.precision = precision
 
     @classmethod
-    def zero(cls, modulus: int, terms: int) -> "TruncatedSeries":
-        return cls(modulus, [0] * terms)
-
-    @classmethod
     def one(cls, modulus: int, terms: int) -> "TruncatedSeries":
         if terms < 1:
             raise ValueError("the constant series needs at least one known term")
@@ -164,20 +160,10 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def agrees_with(self, other: "TruncatedSeries", through: int | None = None) -> bool:
-        """Coefficient-wise equality on the common known window.
-
-        When ``through`` is given, only exponents up to and including it
-        are compared (they must all be known on both sides).
-        """
+    def agrees_with(self, other: "TruncatedSeries") -> bool:
+        """Coefficient-wise equality on the common known window."""
         self._require_same_ring(other)
         stop = min(self.precision, other.precision)
-        if through is not None:
-            if through + 1 > stop:
-                raise PrecisionError(
-                    f"cannot compare through q^{through}: precision is {stop}"
-                )
-            stop = through + 1
         start = min(self.valuation, other.valuation)
         return all(self.coefficient(n) == other.coefficient(n) for n in range(start, stop))
 
@@ -195,19 +181,6 @@ class TruncatedSeries:
             for n in range(src.valuation, stop):
                 out[n - v] = (out[n - v] + src.coeffs[n - src.valuation]) % m
         return TruncatedSeries._of_residues(m, out, v)
-
-    def neg(self) -> "TruncatedSeries":
-        return self.scale(-1)
-
-    def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self.add(other.neg())
-
-    def scale(self, scalar: int) -> "TruncatedSeries":
-        m = self.modulus
-        k = scalar % m
-        return TruncatedSeries._of_residues(
-            m, [(k * c) % m for c in self.coeffs], self.valuation
-        )
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated to min(N_f + v_g, N_g + v_f)."""
@@ -239,7 +212,7 @@ class TruncatedSeries:
         """
         if self.valuation != 0:
             raise ValueError(
-                f"inversion requires valuation 0, got {self.valuation}; shift first"
+                f"inversion requires valuation 0, got {self.valuation}"
             )
         if not self.coeffs:
             raise ValueError("cannot invert a series with no known coefficients")
@@ -299,12 +272,6 @@ class TruncatedSeries:
         vals = [(n * c) % m for n, c in enumerate(self.coeffs, start=self.valuation)]
         return TruncatedSeries._of_residues(m, vals, self.valuation)
 
-    def shift(self, exponent: int) -> "TruncatedSeries":
-        """Multiply by q**exponent (exact, changes valuation and precision)."""
-        return TruncatedSeries._of_residues(
-            self.modulus, self.coeffs, self.valuation + exponent
-        )
-
     def extract_progression(self, residue: int, step: int) -> "TruncatedSeries":
         """The series of coefficients along exponents congruent to residue mod step."""
         if step < 1:
@@ -331,23 +298,10 @@ class TruncatedSeries:
             return NotImplemented
         return self.add(other)
 
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.sub(other)
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.mul(other)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        return self.pow(exponent)
-
-    def __neg__(self):
-        return self.neg()
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

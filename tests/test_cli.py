@@ -157,7 +157,7 @@ def test_the_library_surface_is_pinned():
                     if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert public == [
         "BERNDT_YEE_TABLE", "CongruenceReport", "CounterexampleError",
-        "IsobaricPolynomial", "LiftedForm", "ModularFormModEll", "ModulusMismatchError",
+        "IsobaricPolynomial", "ModularFormModEll", "ModulusMismatchError",
         "PrecisionError", "QuotientSpec", "ResultsCache", "ScanResult", "TableRow",
         "TateCycleProfile", "TruncatedSeries", "certificate_precision",
         "certified_residues", "compute_a_tilde", "compute_b_tilde",

@@ -20,11 +20,13 @@ from eiscong.series import PrecisionError, TruncatedSeries
 
 def evaluate(poly, terms):
     """Substitute Q -> E4 and R -> E6 in the polynomial and expand mod its prime."""
-    total = TruncatedSeries.zero(poly.prime, terms)
+    total = TruncatedSeries(poly.prime, [0] * terms)
     e4 = eisenstein_series(4, poly.prime, terms)
     e6 = eisenstein_series(6, poly.prime, terms)
     for a, b, c in poly.terms:
-        total = total.add(e4.pow(a).mul(e6.pow(b)).scale(c))
+        term = e4.pow(a).mul(e6.pow(b))
+        scaled = TruncatedSeries(poly.prime, [c * x for x in term.coeffs], term.valuation)
+        total = total.add(scaled)
     return total
 
 
@@ -222,7 +224,7 @@ def test_filtrations_mod_7():
 
 
 def test_filtration_rejects_zero():
-    z = ModularFormModEll(7, 12, TruncatedSeries.zero(7, 5))
+    z = ModularFormModEll(7, 12, TruncatedSeries(7, [0] * 5))
     with pytest.raises(ValueError):
         filtration(z)
 

@@ -424,7 +424,7 @@ def test_filtration_polynomial_matches_the_explicit_checks(ell):
             forms.append(ModularFormModEll.from_lift(replacement_lift(spec, ell, terms)))
     for weight in (0, ell - 1, ell + 1, 12 * ell):
         for terms in (sturm(weight) + 1, sturm(weight)):
-            forms.append(ModularFormModEll(ell, weight, TruncatedSeries.zero(ell, terms)))
+            forms.append(ModularFormModEll(ell, weight, TruncatedSeries(ell, [0] * terms)))
     # weight 14 is spanned by E4^2 E6 = 1 + ..., which no series 0 + q + ... matches
     forms.append(ModularFormModEll(ell, 14, TruncatedSeries(ell, [0, 1])))
     outcomes = [

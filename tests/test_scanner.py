@@ -9,7 +9,6 @@ import pytest
 import eiscong.scanner as scanner
 from eiscong import __version__
 from eiscong.eisenstein import (
-    LiftedForm,
     QuotientSpec,
     admits_lift,
     eisenstein_power_product,
@@ -20,7 +19,6 @@ from eiscong.scanner import (
     BERNDT_YEE_TABLE,
     CounterexampleError,
     ResultsCache,
-    ScanResult,
     TableRow,
     certificate_precision,
     remark_bound,
@@ -101,7 +99,7 @@ def value_error(call, *args):
 
 
 def test_one_rule_decides_which_primes_carry_a_lift():
-    # admits_lift, replacement_lift, LiftedForm and scan_prime all follow the
+    # admits_lift, replacement_lift and scan_prime all follow the
     # lift's exponents ell + s and ell + t
     disagreements, seen = [], set()
     for s, t in itertools.product(range(-20, 5), repeat=2):
@@ -109,18 +107,15 @@ def test_one_rule_decides_which_primes_carry_a_lift():
         for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31):
             admitted = ell + s >= 0 and ell + t >= 0
             seen.add(admitted)
-            series = TruncatedSeries.one(ell, 4)
             got = (
                 admits_lift(spec, ell),
                 value_error(replacement_lift, spec, ell, 4),
-                value_error(LiftedForm, spec, ell, lift_weight(spec, ell), series),
                 scan_prime(spec, ell).method != METHOD_BELOW_BOUND,
             )
-            expected = (True, None, None, True) if admitted else (
+            expected = (True, None, True) if admitted else (
                 False,
                 f"ell={ell} is smaller than |s|={abs(s)} or |t|={abs(t)}; "
                 "no lift of this shape exists (the prime is below the size bound)",
-                "lift exponents must be nonnegative",
                 False,
             )
             if got != expected:
@@ -333,14 +328,33 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     assert sum("skipping" in r.message for r in caplog.records) == 2
 
 
+def test_cache_skips_json_lines_that_are_not_records(tmp_path, caplog):
+    # a string holding every field name passes a membership test by substring
+    spec = QuotientSpec(0, 1, 1)
+    cache = ResultsCache(tmp_path)
+    first = verify_theorem(spec, use_remark=True, sample_above=2, cache=cache)
+    path = cache.path_for(spec)
+    kept = len(path.read_text().splitlines())
+    lines = ["42", "null", "true", json.dumps(" ".join(scanner.RECORD_FIELDS))]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with caplog.at_level(logging.WARNING):
+        second = verify_theorem(spec, use_remark=True, sample_above=2, cache=cache)
+    assert second.to_records() == first.to_records()
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping incomplete record at {path}:{kept + i}" for i in range(1, 5)
+    ]
+
+
 def test_cache_version_bump_invalidates(tmp_path):
     spec = QuotientSpec(0, 1, 1)
-    old = ResultsCache(tmp_path, version="0.0.0-old")
-    result = verify_theorem(spec, use_remark=True, sample_above=0)
-    old_result = ScanResult(**{**result.__dict__, "version": "0.0.0-old"})
-    old.put(old_result)
-    assert old.get(spec, 11) is not None
-    assert ResultsCache(tmp_path, version=__version__).get(spec, 11) is None
+    cache = ResultsCache(tmp_path)
+    record = report_to_record(scan_prime(spec, 11), bound=19)
+    path = cache.path_for(spec)
+    path.write_text(json.dumps({**record, "version": "0.0.0-old"}) + "\n")
+    assert cache.get(spec, 11) is None
+    path.write_text(json.dumps(record) + "\n")
+    assert cache.get(spec, 11) is not None
 
 
 def test_warm_cache_skips_all_series_work(tmp_path, monkeypatch):
@@ -405,7 +419,7 @@ def test_latest_record_wins(tmp_path):
 # record and summary layouts against the written-out dict literals they replaced
 
 
-def listed_record(report, bound, version=__version__):
+def listed_record(report, bound):
     return {
         "r": report.spec.r,
         "s": report.spec.s,
@@ -416,7 +430,7 @@ def listed_record(report, bound, version=__version__):
         "weight": report.weight,
         "precision": report.precision,
         "bound": bound,
-        "version": version,
+        "version": __version__,
     }
 
 
@@ -430,13 +444,11 @@ def listed_sweep_json(result):
         "theorem_bound": result.theorem_bound,
         "remark_bound": result.remark_bound,
         "identity_quotient": result.identity_quotient,
-        "version": result.version,
+        "version": __version__,
         "started_at": result.started_at,
         "finished_at": result.finished_at,
-        "reports": [listed_record(r, result.bound, result.version) for r in result.reports],
-        "sampled_above": [
-            listed_record(r, result.bound, result.version) for r in result.sampled_above
-        ],
+        "reports": [listed_record(r, result.bound) for r in result.reports],
+        "sampled_above": [listed_record(r, result.bound) for r in result.sampled_above],
     }
 
 
@@ -481,10 +493,7 @@ def test_records_of_every_method_match_the_listed_layout():
         METHOD_HEURISTIC,
     ]
     for rep in reports:
-        for bound, version in ((129, __version__), (19, "0.0.1")):
-            assert json.dumps(report_to_record(rep, bound, version)) == json.dumps(
-                listed_record(rep, bound, version)
-            )
+        assert json.dumps(report_to_record(rep, 129)) == json.dumps(listed_record(rep, 129))
 
 
 @pytest.mark.parametrize("spec", [QuotientSpec(0, -12, 1), QuotientSpec(0, 1, 1)])

@@ -22,6 +22,21 @@ def TS(modulus, coeffs, valuation=0):
     return TruncatedSeries(modulus, coeffs, valuation)
 
 
+def test_the_series_surface_is_pinned():
+    # every public attribute and operator of the series type, so that a change shows here
+    public = sorted(name for name in dir(TruncatedSeries) if not name.startswith("_"))
+    assert public == [
+        "add", "agrees_with", "change_modulus", "coefficient", "coeffs",
+        "extract_progression", "invert", "is_zero", "modulus", "mul", "one", "pow",
+        "precision", "theta", "valuation",
+    ]
+    operators = sorted(name for name, value in vars(TruncatedSeries).items()
+                       if name.startswith("__") and callable(value))
+    assert operators == [
+        "__add__", "__eq__", "__hash__", "__init__", "__mul__", "__repr__", "__str__",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # construction and normalization
 
@@ -465,13 +480,6 @@ def test_change_modulus_identity():
 def test_change_modulus_requires_divisor():
     with pytest.raises(ValueError):
         TS(12, [5]).change_modulus(5)
-
-
-def test_shift_moves_the_window():
-    f = TS(5, [1, 2]).shift(-3)
-    assert f.valuation == -3
-    assert f.precision == -1
-    assert f.coefficient(-2) == 2
 
 
 def test_str_forms():

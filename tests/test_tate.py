@@ -195,7 +195,7 @@ def test_heuristic_inverse_e4():
 
 
 def test_heuristic_on_zero_series():
-    assert heuristic_simple_congruences(TruncatedSeries.zero(5, 40), 5) == {0, 1, 2, 3, 4}
+    assert heuristic_simple_congruences(TruncatedSeries(5, [0] * 40), 5) == {0, 1, 2, 3, 4}
 
 
 def test_heuristic_rejects_poles():
@@ -279,7 +279,10 @@ def ladder_class_flags(form):
     half = once
     for _ in range((ell + 1) // 2 - 1):
         half = half.theta()
-    return half.agrees_with(once.neg(), through=s), half.agrees_with(once, through=s)
+    return (
+        all(half.coefficient(n) == -once.coefficient(n) % ell for n in range(s + 1)),
+        all(half.coefficient(n) == once.coefficient(n) for n in range(s + 1)),
+    )
 
 
 def ladder_scan_prime(spec, ell):
