@@ -33,7 +33,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .eisenstein import eisenstein_series
+from .eisenstein import eisenstein_power_product, eisenstein_series
 from .linalg import solve_mod_prime
 from .primes import require_prime
 from .series import PrecisionError, TruncatedSeries, _convolve
@@ -74,22 +74,18 @@ def monomial_basis(
     """The series E4^a * E6^b mod ell for each (a, b) with 4a + 6b = weight.
 
     These expansions are a basis of the reductions of weight-`weight`
-    forms.  Cached; all values are immutable.
+    forms.  On the dense layout entry j is entry 0 times x^j, with
+    x = E6^2 / E4^3; every factor has constant term 1, so each entry is
+    exact mod ell.  Cached; all values are immutable.
     """
     pairs = monomial_exponents(weight)
     if not pairs:
         return ()
-    e4 = eisenstein_series(4, ell, terms)
-    e6 = eisenstein_series(6, ell, terms)
-    max_a = max(a for a, _ in pairs)
-    max_b = max(b for _, b in pairs)
-    pows4 = [TruncatedSeries.one(ell, terms)]
-    for _ in range(max_a):
-        pows4.append(pows4[-1].mul(e4))
-    pows6 = [TruncatedSeries.one(ell, terms)]
-    for _ in range(max_b):
-        pows6.append(pows6[-1].mul(e6))
-    return tuple(((a, b), pows4[a].mul(pows6[b])) for a, b in pairs)
+    x = eisenstein_power_product(0, -3, 2, ell, terms)
+    series = [eisenstein_power_product(0, *pairs[0], ell, terms)]
+    for _ in pairs[1:]:
+        series.append(series[-1].mul(x))
+    return tuple(zip(pairs, series))
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,13 @@ import logging
 import math
 import os
 import time
+import types
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
 from itertools import count, islice
 from pathlib import Path
+from typing import get_args
 
 from . import __version__
 from .eisenstein import (
@@ -48,9 +50,11 @@ log = logging.getLogger(__name__)
 RESULTS_DIR_ENV = "EISCONG_RESULTS_DIR"
 #: terms of the quotient the certificate scan reads before its whole window
 FIRST_WINDOW = 16
-RECORD_FIELDS = (
-    "r", "s", "t", "ell", "method", "residues", "weight", "precision", "bound", "version",
-)
+#: every field of a results record, in record order, with its JSON type
+RECORD_FIELDS = {
+    "r": int, "s": int, "t": int, "ell": int, "method": str, "residues": list[int],
+    "weight": int | None, "precision": int | None, "bound": int, "version": str,
+}
 
 
 class CounterexampleError(Exception):
@@ -180,6 +184,17 @@ def report_to_record(report: CongruenceReport, bound: int) -> dict:
     return dict(zip(RECORD_FIELDS, values, strict=True))
 
 
+def _has_type(value, kind) -> bool:
+    # exact JSON types: a bool is no int, a float no int, and list[int] checks
+    # every entry
+    if type(kind) is type:
+        return type(value) is kind
+    if type(kind) is types.UnionType:
+        return any(_has_type(value, k) for k in get_args(kind))
+    (entry,) = get_args(kind)
+    return type(value) is list and all(type(x) is entry for x in value)
+
+
 def record_to_report(record: dict) -> CongruenceReport:
     return CongruenceReport(
         spec=QuotientSpec(record["r"], record["s"], record["t"]),
@@ -230,7 +245,8 @@ class ResultsCache:
     """Append-only JSONL records keyed by (r, s, t, ell, version).
 
     One file per quotient, one record per analysed prime.  Reads return
-    the latest record for a key; corrupt lines are skipped with a
+    the latest record for a key; a line that is not UTF-8, not JSON, or
+    misses a field or its type in `RECORD_FIELDS` is skipped with a
     warning; bumping the version invalidates all earlier lines.
     """
 
@@ -246,18 +262,23 @@ class ResultsCache:
         if not path.exists():
             return {}
         latest = {}
-        with open(path, encoding="utf-8") as fh:
+        # read as bytes and decode line by line, so that a byte that is not
+        # UTF-8 costs only its own line
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
+                    record = json.loads(line.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
                     log.warning("skipping corrupt record at %s:%d", path, lineno)
                     continue
                 if not (isinstance(record, dict) and all(k in record for k in RECORD_FIELDS)):
                     log.warning("skipping incomplete record at %s:%d", path, lineno)
+                    continue
+                if not all(_has_type(record[k], kind) for k, kind in RECORD_FIELDS.items()):
+                    log.warning("skipping mistyped record at %s:%d", path, lineno)
                     continue
                 if record["version"] == __version__ and (
                     record["r"], record["s"], record["t"]

@@ -86,7 +86,7 @@ def test_find_congruences_json_round_trips_through_the_cache_reader(capsys):
     _, out, _ = run(capsys, "--output", "json", "find-congruences", "--r", "0",
                     "--s", "1", "--t", "1", "--ell", "11")
     record = json.loads(out)
-    assert tuple(record.keys()) == RECORD_FIELDS
+    assert tuple(record.keys()) == tuple(RECORD_FIELDS)
     report = record_to_report(record)
     assert report.ell == 11
     assert report.residues == tuple(range(1, 11))

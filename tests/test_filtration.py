@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from eiscong.eisenstein import QuotientSpec, eisenstein_series, replacement_lift
+from eiscong.eisenstein import (
+    QuotientSpec,
+    eisenstein_power_product,
+    eisenstein_series,
+    replacement_lift,
+)
 from eiscong.filtration import (
     IsobaricPolynomial,
     ModularFormModEll,
@@ -144,12 +149,14 @@ def test_monomial_exponents_reject_odd():
         monomial_exponents(7)
 
 
-def test_monomial_basis_expands_products():
-    basis = dict(monomial_basis(12, 13, 4))
-    e4 = eisenstein_series(4, 13, 4)
-    e6 = eisenstein_series(6, 13, 4)
-    assert basis[(3, 0)] == e4.pow(3)
-    assert basis[(0, 2)] == e6.pow(2)
+@pytest.mark.parametrize("weight", [0, 2, 4, 6, 12, 14, 198, 200, 1992, 1978])
+def test_monomial_basis_expands_products(weight):
+    # every entry at ell = 199, with ell - 1, ell + 1 and 10 ell + 2 among the weights
+    ell, terms = 199, sturm(weight) + 8
+    basis = monomial_basis(weight, ell, terms)
+    assert tuple(pair for pair, _ in basis) == monomial_exponents(weight)
+    for (a, b), series in basis:
+        assert series == eisenstein_power_product(0, a, b, ell, terms), (a, b)
 
 
 # ---------------------------------------------------------------------------

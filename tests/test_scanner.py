@@ -8,6 +8,7 @@ import pytest
 
 import eiscong.scanner as scanner
 from eiscong import __version__
+from eiscong.cli import main
 from eiscong.eisenstein import (
     QuotientSpec,
     admits_lift,
@@ -344,6 +345,39 @@ def test_cache_skips_json_lines_that_are_not_records(tmp_path, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         f"skipping incomplete record at {path}:{kept + i}" for i in range(1, 5)
     ]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(None, None), ("residues", 5), ("ell", [5]), ("residues", "24"), ("ell", 5.0),
+     ("method", 7)],
+    ids=["not-utf-8", "residues-int", "ell-list", "residues-str", "ell-float", "method-int"],
+)
+def test_a_damaged_record_is_skipped_and_its_prime_scanned_afresh(
+    tmp_path, capsys, caplog, field, value
+):
+    # the record of ell = 13 becomes a line that is not UTF-8, or gets a mistyped field
+    argv = ["--results-dir", str(tmp_path), "verify-theorem", "--r", "0", "--s", "1",
+            "--t", "1", "--remark"]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    path = ResultsCache(tmp_path).path_for(QuotientSpec(0, 1, 1))
+    lines = path.read_bytes().splitlines()
+    records = [json.loads(line) for line in lines]
+    i = next(i for i, record in enumerate(records) if record["ell"] == 13)
+    damaged = {**records[i], field: value}
+    lines[i] = b"\xff\xfe garbage" if field is None else json.dumps(damaged).encode()
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    with caplog.at_level(logging.WARNING, logger="eiscong.scanner"):
+        assert main(argv) == 0
+    assert capsys.readouterr().out == clean
+    kind = "corrupt" if field is None else "mistyped"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping {kind} record at {path}:{i + 1}"
+    ]
+    # ell = 13 alone was scanned again, and its record appended
+    appended = path.read_bytes().splitlines()[len(lines):]
+    assert [json.loads(line) for line in appended] == [records[i]]
 
 
 def test_cache_version_bump_invalidates(tmp_path):
