@@ -21,7 +21,6 @@ from .filtration import (
     monomial_basis,
     represent,
     compute_a_tilde,
-    compute_b_tilde,
 )
 from .tate import (
     TateCycleProfile,

@@ -225,7 +225,7 @@ def _cmd_find_congruences(args):
 
 def _cmd_verify_theorem(args):
     spec = QuotientSpec(args.r, args.s, args.t)
-    results_dir = args.results_dir or os.environ.get(RESULTS_DIR_ENV, "results")
+    results_dir = args.results_dir or os.environ.get(RESULTS_DIR_ENV) or "results"
     cache = None if args.no_cache else ResultsCache(results_dir)
     result = verify_theorem(
         spec,

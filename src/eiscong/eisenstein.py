@@ -2,10 +2,9 @@
 
 The three series are 1 + C_k * sum sigma_{k-1}(n) q^n with the integer
 constants C_2 = -24, C_4 = 240, C_6 = -504.  General-weight Eisenstein
-series enter only through their classical reductions mod a prime ell:
-E_{ell-1} reduces to 1 and E_{ell+1} reduces to E2 (see
-`compute_a_tilde` and `compute_b_tilde` in `eiscong.filtration`), so no
-Bernoulli number is ever computed.
+series enter only through E_{ell-1}, which reduces to 1 mod a prime ell
+(see `compute_a_tilde` in `eiscong.filtration`), so no Bernoulli number
+is ever computed.
 """
 
 from __future__ import annotations
@@ -121,6 +120,16 @@ def admits_lift(spec: QuotientSpec, ell: int) -> bool:
     return ell + spec.s >= 0 and ell + spec.t >= 0
 
 
+def require_lift(spec: QuotientSpec, ell: int) -> None:
+    """Raise ValueError unless ell is a prime at least 5 at which the lift exists."""
+    require_prime(ell)
+    if not admits_lift(spec, ell):
+        raise ValueError(
+            f"ell={ell} is smaller than |s|={abs(spec.s)} or |t|={abs(spec.t)}; "
+            "no lift of this shape exists (the prime is below the size bound)"
+        )
+
+
 def replacement_lift(spec: QuotientSpec, ell: int, terms: int) -> "ModularFormModEll":
     """Replace the quotient by E2^r * E4^(ell+s) * E6^(ell+t) mod ell.
 
@@ -132,11 +141,6 @@ def replacement_lift(spec: QuotientSpec, ell: int, terms: int) -> "ModularFormMo
     # imported here: filtration imports this module
     from .filtration import ModularFormModEll
 
-    require_prime(ell)
-    if not admits_lift(spec, ell):
-        raise ValueError(
-            f"ell={ell} is smaller than |s|={abs(spec.s)} or |t|={abs(spec.t)}; "
-            "no lift of this shape exists (the prime is below the size bound)"
-        )
+    require_lift(spec, ell)
     series = eisenstein_power_product(spec.r, ell + spec.s, ell + spec.t, ell, terms)
     return ModularFormModEll(ell, lift_weight(spec, ell), series)

@@ -10,10 +10,13 @@ Everything after that is polynomial arithmetic.  By Swinnerton-Dyer
 where A~ is the weight ell - 1 polynomial with value 1; each exact
 division lowers the weight by ell - 1.  Theta acts on polynomials by
 
-    12 theta(F) = k B~ F - A~ (4R dF/dQ + 6Q^2 dF/dR),
+    12 theta(F) = k B~ F - A~ D(F),  D = 4R d/dQ + 6Q^2 d/dR,
 
 with B~ the weight ell + 1 polynomial with value E2 (Ramanujan's
-identities, made isobaric by the factor A~).
+identities 12 theta F = k E2 F - D(F), made isobaric by the factor A~).
+At F = A~, of value 1 and weight -1 mod ell, they give D(A~) the value
+-E2; the monomials of one weight are independent mod ell >= 5, so
+B~ = -D(A~) as polynomials, and theta reads only A~.
 
 `IsobaricPolynomial` has one format, dense: a weight-k polynomial is
 the tuple of its coefficients on Q^(a0 - 3j) R^(b0 + 2j), j = 0, 1, ...,
@@ -33,7 +36,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .eisenstein import eisenstein_power_product, eisenstein_series
+from .eisenstein import eisenstein_power_product
 from .linalg import solve_mod_prime
 from .primes import require_prime
 from .series import PrecisionError, TruncatedSeries, _convolve
@@ -157,25 +160,16 @@ class IsobaricPolynomial:
     def theta(self) -> "IsobaricPolynomial":
         """The polynomial of the theta image, of weight weight + prime + 1.
 
-        12 theta(F) = k B~ F - A~ D with D = 4R dF/dQ + 6Q^2 dF/dR, which
-        has weight k + 2.
+        12 theta(F) = k B~ F - A~ D(F), with B~ = -D(A~) (see the module
+        docstring), so 12 theta(F) = -(k D(A~) F + A~ D(F)).
         """
         ell, weight = self.prime, self.weight
-        a0, b0, _ = dense_layout(weight)
-        # entry j of D takes Q^(a0 - 3i) R^(b0 + 2i) from i = j - b0 (4R dF/dQ)
-        # and i = j + 1 - b0 (6Q^2 dF/dR); h[i + 1] is coefficient i, 0 outside
-        h = [0, *self.coeffs, 0]
-        derivative = [
-            (4 * (a0 - 3 * (j - b0)) * h[j + 1 - b0] + (12 * (j + 1) - 6 * b0) * h[j + 2 - b0])
-            % ell
-            for j in range(dense_layout(weight + 2)[2])
-        ]
-        kbf = dense_product(ell, ell + 1, compute_b_tilde(ell).coeffs, weight, self.coeffs)
-        ad = dense_product(ell, ell - 1, compute_a_tilde(ell).coeffs, weight + 2, derivative)
-        inv12 = pow(12, -1, ell)
-        return IsobaricPolynomial._of_residues(
-            ell, weight + ell + 1, tuple((weight * x - y) * inv12 % ell for x, y in zip(kbf, ad))
-        )
+        a = compute_a_tilde(ell).coeffs
+        kdf = dense_product(ell, ell + 1, _derivative(ell, ell - 1, a), weight, self.coeffs)
+        ad = dense_product(ell, ell - 1, a, weight + 2, _derivative(ell, weight, self.coeffs))
+        minus_inv12 = -pow(12, -1, ell)
+        coeffs = tuple((weight * x + y) * minus_inv12 % ell for x, y in zip(kdf, ad))
+        return IsobaricPolynomial._of_residues(ell, weight + ell + 1, coeffs)
 
     def strip_a_tilde(self) -> tuple["IsobaricPolynomial", int]:
         """Divide by A~ while it divides exactly; the quotient and the number of divisions.
@@ -275,6 +269,18 @@ def dense_product(
     return out + [0] * (dense_layout(weight1 + weight2)[2] - len(out))
 
 
+def _derivative(ell: int, weight: int, coeffs: Sequence[int]) -> list[int]:
+    """Dense coefficients mod ell of D(F) = 4R dF/dQ + 6Q^2 dF/dR, of weight weight + 2."""
+    a0, b0, _ = dense_layout(weight)
+    # entry j of D takes Q^(a0 - 3i) R^(b0 + 2i) from i = j - b0 (4R dF/dQ)
+    # and i = j + 1 - b0 (6Q^2 dF/dR); h[i + 1] is coefficient i, 0 outside
+    h = [0, *coeffs, 0]
+    return [
+        (4 * (a0 - 3 * (j - b0)) * h[j + 1 - b0] + (12 * (j + 1) - 6 * b0) * h[j + 2 - b0]) % ell
+        for j in range(dense_layout(weight + 2)[2])
+    ]
+
+
 def filtration_polynomial(form: ModularFormModEll) -> tuple[IsobaricPolynomial, int]:
     """The form's polynomial at its filtration, and the divisions by A~ that reached it.
 
@@ -314,13 +320,3 @@ def compute_a_tilde(ell: int) -> IsobaricPolynomial:
     require_prime(ell)
     # ell terms cover the Sturm range
     return _tagged_polynomial(ModularFormModEll(ell, ell - 1, TruncatedSeries.one(ell, ell)))
-
-
-@lru_cache(maxsize=None)
-def compute_b_tilde(ell: int) -> IsobaricPolynomial:
-    """The weight-(ell+1) polynomial in Q, R whose value at (E4, E6) is E2 mod ell.
-
-    It writes E_{ell+1} at its weight, and E_{ell+1} = E2 mod ell.
-    """
-    require_prime(ell)
-    return _tagged_polynomial(ModularFormModEll(ell, ell + 1, eisenstein_series(2, ell, ell)))

@@ -29,6 +29,7 @@ from .eisenstein import (
     eisenstein_power_product,
     lift_weight,
     quotient_series,
+    require_lift,
 )
 from .filtration import sturm
 from .primes import is_prime, require_prime
@@ -92,6 +93,7 @@ def profile_precision(spec: QuotientSpec, ell: int) -> int:
     The cycle reads the lift only through its one solve at the lift
     weight; every later step is polynomial arithmetic.
     """
+    require_lift(spec, ell)
     return sturm(lift_weight(spec, ell)) + 1
 
 

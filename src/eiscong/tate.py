@@ -280,8 +280,9 @@ def theta_vanishing_prime_candidates(
     Eliminating the closed-form coefficient system shows any prime at
     least 17 with a vanishing theta image must divide gcd(r, s, t), and
     8255520 = 2^5 * 3^4 * 5 * 7^2 * 13 bounds the rest, so the primes up
-    to 13 are always candidates.  Every candidate is then confirmed or
-    refuted by a window check of the expansion.
+    to 13 are always candidates; every prime dividing gcd(r, s, t)
+    passes the system, which has no constant terms.  Each candidate is
+    then confirmed or refuted by a window check of the expansion.
 
     Returns None for the identity quotient r = s = t = 0, where theta
     kills the constant series 1 mod every prime.
@@ -289,8 +290,5 @@ def theta_vanishing_prime_candidates(
     g = math.gcd(spec.r, spec.s, spec.t)
     if g == 0:
         return None
-    candidates = set(SMALL_CANDIDATE_PRIMES)
-    for p in prime_factors(g):
-        if p >= 17 and theta_zero_congruences_hold(spec, p):
-            candidates.add(p)
+    candidates = set(SMALL_CANDIDATE_PRIMES).union(prime_factors(g))
     return frozenset(p for p in candidates if theta_vanishes(spec, p, terms))

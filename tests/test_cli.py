@@ -160,8 +160,8 @@ def test_the_library_surface_is_pinned():
         "IsobaricPolynomial", "ModularFormModEll", "ModulusMismatchError",
         "PrecisionError", "QuotientSpec", "ResultsCache", "ScanResult", "TableRow",
         "TateCycleProfile", "TruncatedSeries", "certificate_precision",
-        "certified_residues", "compute_a_tilde", "compute_b_tilde",
-        "eisenstein_power_product", "eisenstein_series", "heuristic_simple_congruences",
+        "certified_residues", "compute_a_tilde", "eisenstein_power_product",
+        "eisenstein_series", "heuristic_simple_congruences",
         "lift_weight", "monomial_basis", "monomial_exponents", "profile_precision",
         "quotient_q2_coefficient", "quotient_q_coefficient", "quotient_series",
         "remark_bound", "replacement_lift", "represent", "scan_prime", "sturm",
@@ -223,6 +223,16 @@ def test_verify_theorem_results_dir_from_env(capsys, tmp_path, monkeypatch):
                      "--sample-above", "0")
     assert code == 0
     assert (tmp_path / "from-env" / "scan-0_0_0.jsonl").exists()
+
+
+def test_an_empty_results_dir_variable_counts_as_unset(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("EISCONG_RESULTS_DIR", "")
+    code, _, _ = run(capsys, "verify-theorem", "--r", "0", "--s", "0", "--t", "0",
+                     "--sample-above", "0")
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["results"]
+    assert (tmp_path / "results" / "scan-0_0_0.jsonl").exists()
 
 
 def test_verify_table_single_row(capsys):

@@ -83,6 +83,8 @@ CASES = [
     f"--verbose tate-cycle {WEIGHT_TEN} --ell 13",
     "--verbose verify-table --row 1/E6 --terms 300",
     f"--jobs 0 verify-theorem {WEIGHT_TEN} --no-cache",
+    "filtration --r 0 --s 1 --t 0 --ell -5",
+    "tate-cycle --r 0 --s -20 --t 1 --ell 7",
 ]
 
 MASKS = [

@@ -11,8 +11,8 @@ from eiscong.eisenstein import (
 from eiscong.filtration import (
     IsobaricPolynomial,
     ModularFormModEll,
+    _derivative,
     compute_a_tilde,
-    compute_b_tilde,
     filtration,
     monomial_basis,
     monomial_exponents,
@@ -33,6 +33,12 @@ def evaluate(poly, terms):
         scaled = TruncatedSeries(poly.prime, [c * x for x in term.coeffs], term.valuation)
         total = total.add(scaled)
     return total
+
+
+def b_tilde(ell):
+    """-D(A~), the weight ell + 1 polynomial of value E2 that theta reads."""
+    d = _derivative(ell, ell - 1, compute_a_tilde(ell).coeffs)
+    return IsobaricPolynomial(ell, ell + 1, tuple(-c % ell for c in d))
 
 
 def form_from(series, ell, weight):
@@ -294,14 +300,15 @@ def test_a_tilde_evaluates_to_one():
 
 
 def test_b_tilde_small_primes():
-    # E6 is E2 mod 5 and E4^2 is E2 mod 7, so both scalars are 1
-    assert compute_b_tilde(5).terms == ((0, 1, 1),)
-    assert compute_b_tilde(7).terms == ((2, 0, 1),)
+    # A~ is Q mod 5 and R mod 7; D(Q) = 4R and D(R) = 6Q^2, so B~ is R mod 5
+    # and Q^2 mod 7: E6 is E2 mod 5 and E4^2 is E2 mod 7
+    assert b_tilde(5).terms == ((0, 1, 1),)
+    assert b_tilde(7).terms == ((2, 0, 1),)
 
 
 def test_b_tilde_evaluates_to_e2():
     for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31):
-        poly = compute_b_tilde(ell)
+        poly = b_tilde(ell)
         assert poly.weight == ell + 1
         n = sturm(ell + 1) + 1
         assert evaluate(poly, n).agrees_with(eisenstein_series(2, ell, n))

@@ -6,7 +6,9 @@ ladder of solves, the cycle by theta on q-series and one ladder per
 iterate.  The schoolbook product of dense polynomials is kept as the
 reference for `dense_product`, which is one Kronecker product, and the
 long division `dense_quotient` (from the highest R-exponent down) as the
-reference for `strip_a_tilde`, which divides from the lowest up.
+reference for `strip_a_tilde`, which divides from the lowest up, and the
+solve of E2 at weight ell + 1 (`solved_b_tilde`) as the reference for
+B~ = -D(A~), which theta forms.
 """
 
 import logging
@@ -23,7 +25,6 @@ from eiscong.filtration import (
     ModularFormModEll,
     _tagged_polynomial,
     compute_a_tilde,
-    compute_b_tilde,
     dense_layout,
     dense_product,
     filtration,
@@ -34,7 +35,7 @@ from eiscong.filtration import (
 from eiscong.scanner import profile_precision
 from eiscong.series import PrecisionError, TruncatedSeries
 from eiscong.tate import TATE_CYCLE_CAP, TateCycleProfile, tate_cycle
-from test_filtration import evaluate
+from test_filtration import b_tilde, eis_product, evaluate
 
 
 def ladder_filtration(form):
@@ -118,15 +119,6 @@ def outcome(profile, form):
         return profile(form)
     except ValueError as exc:
         return type(exc)
-
-
-def eis_product(a, b, c, ell, terms):
-    # E2^a * E4^b * E6^c as the reduction of a weight a*(ell+1) + 4b + 6c form
-    out = TruncatedSeries.one(ell, terms)
-    for k, e in ((2, a), (4, b), (6, c)):
-        if e:
-            out = out * eisenstein_series(k, ell, terms).pow(e)
-    return ModularFormModEll(ell, a * (ell + 1) + 4 * b + 6 * c, out)
 
 
 def lift_pair(spec, ell):
@@ -367,7 +359,7 @@ def test_internal_builders_pass_the_checked_constructor(ell):
     # polynomial they build along a theta cycle must pass them unchanged
     form = eis_product(1, 1, 1, ell, sturm(ell + 11) + 1)
     poly = represent(form, form.weight)
-    built = [poly, compute_a_tilde(ell), compute_b_tilde(ell)]
+    built = [poly, compute_a_tilde(ell)]
     for _ in range(ell):
         image = poly.theta()
         poly, _ = image.strip_a_tilde()
@@ -441,17 +433,27 @@ def test_filtration_polynomial_matches_the_explicit_checks(ell):
 def test_a_tilde_and_b_tilde_evaluate_to_one_and_e2(ell):
     # twice the Sturm range of weight ell + 1, past the window either solve read
     terms = 2 * (sturm(ell + 1) + 1)
-    a_tilde, b_tilde = compute_a_tilde(ell), compute_b_tilde(ell)
-    assert (a_tilde.weight, b_tilde.weight) == (ell - 1, ell + 1)
-    assert evaluate(a_tilde, terms) == TruncatedSeries.one(ell, terms)
-    assert evaluate(b_tilde, terms) == eisenstein_series(2, ell, terms)
+    a, b = compute_a_tilde(ell), b_tilde(ell)
+    assert (a.weight, b.weight) == (ell - 1, ell + 1)
+    assert evaluate(a, terms) == TruncatedSeries.one(ell, terms)
+    assert evaluate(b, terms) == eisenstein_series(2, ell, terms)
+
+
+def solved_b_tilde(ell):
+    """Reference B~: one solve writes E2, which is E_{ell+1} mod ell, at weight ell + 1."""
+    return _tagged_polynomial(ModularFormModEll(ell, ell + 1, eisenstein_series(2, ell, ell)))
+
+
+def test_b_tilde_is_minus_d_of_a_tilde():
+    mismatches = [ell for ell in primerange(5, 400) if b_tilde(ell) != solved_b_tilde(ell)]
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("ell", [-5, -3, 0, 1, 3, 4, 9])
 def test_a_tilde_and_b_tilde_refuse_what_is_not_a_prime_at_least_5(ell):
-    for compute in (compute_a_tilde, compute_b_tilde):
-        with pytest.raises(ValueError, match=f"ell must be a prime at least 5, got {ell}"):
-            compute(ell)
+    # B~ = -D(A~) has no entry point of its own: A~'s refusal covers both
+    with pytest.raises(ValueError, match=f"ell must be a prime at least 5, got {ell}"):
+        compute_a_tilde(ell)
 
 
 # ---------------------------------------------------------------------------
