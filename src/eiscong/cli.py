@@ -15,19 +15,13 @@ import logging
 import os
 import sys
 
-from .eisenstein import (
-    QuotientSpec,
-    eisenstein_power_product,
-    quotient_series,
-    replacement_lift,
-)
-from .filtration import ModularFormModEll, compute_a_tilde, filtration
+from .eisenstein import QuotientSpec, eisenstein_power_product, quotient_series, require_lift
+from .filtration import _lift_polynomial, compute_a_tilde, filtration
 from .primes import require_prime
 from .scanner import (
     RESULTS_DIR_ENV,
     CounterexampleError,
     ResultsCache,
-    profile_precision,
     report_to_record,
     scan_prime,
     table_rows,
@@ -41,6 +35,7 @@ from .tate import (
     TATE_CYCLE_CAP,
     CongruenceReport,
     heuristic_simple_congruences,
+    require_cycle_cap,
     tate_cycle,
 )
 
@@ -161,14 +156,8 @@ def _cmd_series(args):
     return payload, [str(series)]
 
 
-def _lifted_form(args) -> ModularFormModEll:
-    # the Sturm prefix of the lift weight is all that filtration and cycle read
-    spec = QuotientSpec(args.r, args.s, args.t)
-    return replacement_lift(spec, args.ell, profile_precision(spec, args.ell))
-
-
 def _cmd_filtration(args):
-    form = _lifted_form(args)
+    form = _lift_polynomial(QuotientSpec(args.r, args.s, args.t), args.ell)
     value = filtration(form)
     payload = {"r": args.r, "s": args.s, "t": args.t, "ell": args.ell,
                "weight": form.weight, "filtration": value}
@@ -176,7 +165,11 @@ def _cmd_filtration(args):
 
 
 def _cmd_tate_cycle(args):
-    profile = tate_cycle(_lifted_form(args), cap=args.cap)
+    spec = QuotientSpec(args.r, args.s, args.t)
+    # refuse a prime above the cap before the lift is built
+    require_lift(spec, args.ell)
+    require_cycle_cap(args.ell, args.cap)
+    profile = tate_cycle(_lift_polynomial(spec, args.ell), cap=args.cap)
     fall_of = dict(zip(profile.low_points, profile.falls))
     lines = [
         f"prime {profile.prime}, lift weight {profile.base_weight}, "

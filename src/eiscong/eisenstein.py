@@ -2,8 +2,9 @@
 
 The three series are 1 + C_k * sum sigma_{k-1}(n) q^n with the integer
 constants C_2 = -24, C_4 = 240, C_6 = -504.  General-weight Eisenstein
-series enter only through E_{ell-1}, which reduces to 1 mod a prime ell
-(see `compute_a_tilde` in `eiscong.filtration`), so no Bernoulli number
+series enter only through E_{ell-1}, which reduces to 1 mod a prime ell:
+`compute_a_tilde` in `eiscong.filtration` writes it as a polynomial in
+E4, E6 in closed form, so neither its q-expansion nor a Bernoulli number
 is ever computed.
 """
 

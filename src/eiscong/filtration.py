@@ -1,11 +1,15 @@
 """Filtrations of level-one modular forms mod ell.
 
-A reduction mod ell of a weight-k form is represented once, at its
-tagged weight, in the monomial basis E4^a E6^b: q-expansions are matched
-through the level one bound floor(k/12), and two reductions of weight-k
-forms that agree on a(0), ..., a(floor(k/12)) agree identically, so the
-representing polynomial F in Q, R over F_ell is a finite certificate.
-Everything after that is polynomial arithmetic.  By Swinnerton-Dyer
+A reduction mod ell of a weight-k form is a polynomial F in Q, R over
+F_ell at its tagged weight, in the monomial basis E4^a E6^b.  The
+replacement lift E2^r E4^(ell+s) E6^(ell+t) has a closed form,
+B~^r Q^(ell+s) R^(ell+t) (`_lift_polynomial`), and so has A~ below
+(`compute_a_tilde`); the commands start from these.  A form given only
+as a q-series is written by one solve (`represent`): q-expansions are
+matched through the level one bound floor(k/12), and two reductions of
+weight-k forms that agree on a(0), ..., a(floor(k/12)) agree
+identically, so the polynomial is a finite certificate.  Everything
+after that is polynomial arithmetic.  By Swinnerton-Dyer
 (LNM 350, 1973) the filtration is below k exactly when A~ divides F,
 where A~ is the weight ell - 1 polynomial with value 1; each exact
 division lowers the weight by ell - 1.  Theta acts on polynomials by
@@ -16,7 +20,7 @@ with B~ the weight ell + 1 polynomial with value E2 (Ramanujan's
 identities 12 theta F = k E2 F - D(F), made isobaric by the factor A~).
 At F = A~, of value 1 and weight -1 mod ell, they give D(A~) the value
 -E2; the monomials of one weight are independent mod ell >= 5, so
-B~ = -D(A~) as polynomials, and theta reads only A~.
+B~ = -D(A~) as polynomials (`_b_tilde`, formed once per prime).
 
 `IsobaricPolynomial` has one format, dense: a weight-k polynomial is
 the tuple of its coefficients on Q^(a0 - 3j) R^(b0 + 2j), j = 0, 1, ...,
@@ -36,7 +40,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .eisenstein import eisenstein_power_product
+from .eisenstein import QuotientSpec, eisenstein_power_product, require_lift
 from .linalg import solve_mod_prime
 from .primes import require_prime
 from .series import PrecisionError, TruncatedSeries, _convolve
@@ -161,14 +165,14 @@ class IsobaricPolynomial:
         """The polynomial of the theta image, of weight weight + prime + 1.
 
         12 theta(F) = k B~ F - A~ D(F), with B~ = -D(A~) (see the module
-        docstring), so 12 theta(F) = -(k D(A~) F + A~ D(F)).
+        docstring).
         """
         ell, weight = self.prime, self.weight
         a = compute_a_tilde(ell).coeffs
-        kdf = dense_product(ell, ell + 1, _derivative(ell, ell - 1, a), weight, self.coeffs)
+        bf = dense_product(ell, ell + 1, _b_tilde(ell), weight, self.coeffs)
         ad = dense_product(ell, ell - 1, a, weight + 2, _derivative(ell, weight, self.coeffs))
-        minus_inv12 = -pow(12, -1, ell)
-        coeffs = tuple((weight * x + y) * minus_inv12 % ell for x, y in zip(kdf, ad))
+        inv12 = pow(12, -1, ell)
+        coeffs = tuple((weight * x - y) * inv12 % ell for x, y in zip(bf, ad))
         return IsobaricPolynomial._of_residues(ell, weight + ell + 1, coeffs)
 
     def strip_a_tilde(self) -> tuple["IsobaricPolynomial", int]:
@@ -245,17 +249,6 @@ def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None
     return IsobaricPolynomial._of_residues(ell, weight, tuple(sol))
 
 
-def _tagged_polynomial(form: ModularFormModEll) -> IsobaricPolynomial:
-    # the form at its own weight, where a reduction of such a form always has one
-    poly = represent(form, form.weight)
-    if poly is None:
-        raise RuntimeError(
-            f"series tagged weight {form.weight} mod {form.prime} matches no modular form; "
-            "the weight tag is wrong or the input is corrupt"
-        )
-    return poly
-
-
 def dense_product(
     ell: int, weight1: int, f: Sequence[int], weight2: int, g: Sequence[int]
 ) -> list[int]:
@@ -281,26 +274,36 @@ def _derivative(ell: int, weight: int, coeffs: Sequence[int]) -> list[int]:
     ]
 
 
-def filtration_polynomial(form: ModularFormModEll) -> tuple[IsobaricPolynomial, int]:
+def filtration_polynomial(
+    form: ModularFormModEll | IsobaricPolynomial,
+) -> tuple[IsobaricPolynomial, int]:
     """The form's polynomial at its filtration, and the divisions by A~ that reached it.
 
-    One solve writes the form at its tagged weight; the quotient by the
-    highest power of A~ dividing that polynomial sits at the least
-    weight of a congruent form.  Undefined for the zero reduction, that
-    is the zero polynomial: the basis is independent mod ell >= 5.
+    A form given as a q-series is written at its tagged weight by one
+    solve; a polynomial is taken as it is.  The quotient by the highest
+    power of A~ dividing that polynomial sits at the least weight of a
+    congruent form.  Undefined for the zero reduction, that is the zero
+    polynomial: the basis is independent mod ell >= 5.
     """
-    poly = _tagged_polynomial(form)
+    poly = represent(form, form.weight) if isinstance(form, ModularFormModEll) else form
+    if poly is None:
+        # a reduction of a form always has a polynomial at its own weight
+        raise RuntimeError(
+            f"series tagged weight {form.weight} mod {form.prime} matches no modular form; "
+            "the weight tag is wrong or the input is corrupt"
+        )
     if not any(poly.coeffs):
         raise ValueError("filtration is undefined for the zero reduction")
     return poly.strip_a_tilde()
 
 
-def filtration(form: ModularFormModEll) -> int:
+def filtration(form: ModularFormModEll | IsobaricPolynomial) -> int:
     """The least weight of a modular form congruent to the given reduction.
 
-    Writes the form once at its tagged weight and divides the polynomial
-    by A~ while it divides exactly (Swinnerton-Dyer); each division
-    lowers the weight by ell - 1.  Undefined for the zero reduction.
+    Takes the form's polynomial at its tagged weight (one solve for a
+    q-series) and divides it by A~ while it divides exactly
+    (Swinnerton-Dyer); each division lowers the weight by ell - 1.
+    Undefined for the zero reduction.
     """
     start = time.perf_counter()
     poly, divisions = filtration_polynomial(form)
@@ -315,8 +318,45 @@ def filtration(form: ModularFormModEll) -> int:
 def compute_a_tilde(ell: int) -> IsobaricPolynomial:
     """The weight-(ell-1) polynomial in Q, R whose value at (E4, E6) is 1 mod ell.
 
-    It writes E_{ell-1} at its weight, and E_{ell-1} = 1 mod ell.
+    It writes E_{ell-1}, which is 1 mod ell, in closed form: on its dense
+    layout A~ is Q^a0 R^b0 g(x), x = R^2/Q^3, and g is the truncation of
+    the hypergeometric series 2F1(a, b; c; x) mod ell, with (a, b, c) =
+    (1/12, 5/12, 1/2) when b0 = 0 and (7/12, 11/12, 3/2) when b0 = 1
+    (Kaneko and Zagier's form of the supersingular polynomial, 1998).
+    Every monomial has constant term 1, so the coefficients are scaled to
+    sum to the value 1.
     """
     require_prime(ell)
-    # ell terms cover the Sturm range
-    return _tagged_polynomial(ModularFormModEll(ell, ell - 1, TruncatedSeries.one(ell, ell)))
+    _, b0, length = dense_layout(ell - 1)
+    inv12 = pow(12, -1, ell)
+    a, b, c = (1 + 6 * b0) * inv12, (5 + 6 * b0) * inv12, (1 + 2 * b0) * pow(2, -1, ell)
+    # (a)_j (b)_j / ((c)_j j!) by the ratio of consecutive terms
+    g = [1]
+    for j in range(1, length):
+        g.append(g[-1] * (a + j - 1) * (b + j - 1) * pow((c + j - 1) * j, -1, ell) % ell)
+    scale = pow(sum(g), -1, ell)
+    return IsobaricPolynomial._of_residues(ell, ell - 1, tuple(x * scale % ell for x in g))
+
+
+@lru_cache(maxsize=None)
+def _b_tilde(ell: int) -> tuple[int, ...]:
+    """Dense coefficients of B~ = -D(A~), the weight ell + 1 polynomial of value E2."""
+    return tuple(-x % ell for x in _derivative(ell, ell - 1, compute_a_tilde(ell).coeffs))
+
+
+def _lift_polynomial(spec: QuotientSpec, ell: int) -> IsobaricPolynomial:
+    """The replacement lift's polynomial B~^r Q^(ell+s) R^(ell+t) at the lift weight.
+
+    E4 and E6 are Q and R, and E2 is B~ mod ell, so this is the polynomial
+    that represents `replacement_lift(spec, ell, ...)` at its weight,
+    built with no q-expansion: one monomial and r products with B~.
+    """
+    require_lift(spec, ell)
+    weight = 4 * (ell + spec.s) + 6 * (ell + spec.t)
+    _, b0, length = dense_layout(weight)
+    coeffs = [0] * length
+    coeffs[(ell + spec.t - b0) // 2] = 1
+    for _ in range(spec.r):
+        coeffs = dense_product(ell, weight, coeffs, ell + 1, _b_tilde(ell))
+        weight += ell + 1
+    return IsobaricPolynomial._of_residues(ell, weight, tuple(coeffs))

@@ -13,10 +13,12 @@ ends the scan early, so a prime without congruences is usually settled
 by the first few coefficients.
 
 Tate cycles (Jochnowitz 1982) are profiled on polynomials in Q, R over
-F_ell (`IsobaricPolynomial`): one solve writes the form at its tagged
-weight, and from there each step is `theta().strip_a_tilde()`, whose
-weight is the filtration of the iterate, and the Fermat closure is an
-equality of polynomials; see `eiscong.filtration`.
+F_ell (`IsobaricPolynomial`).  The cycle starts from the form's
+polynomial at its tagged weight: the command line builds the lift's
+polynomial in closed form, and only a form given as a q-series takes one
+solve.  From there each step is `theta().strip_a_tilde()`, whose weight
+is the filtration of the iterate, and the Fermat closure is an equality
+of polynomials; see `eiscong.filtration`.
 """
 
 from __future__ import annotations
@@ -86,25 +88,33 @@ class TateCycleProfile:
     falls: tuple[int, ...]
 
 
-def tate_cycle(form: ModularFormModEll, cap: int = TATE_CYCLE_CAP) -> TateCycleProfile:
-    """Profile the full cycle of theta iterates of the form.
-
-    One solve writes the form as a polynomial in Q, R over F_ell; theta
-    then acts on polynomials, and each iterate is divided by A~ while
-    it divides exactly, which leaves it at its filtration.  The iterate
-    after a filtration divisible by ell must drop by a positive multiple
-    of ell - 1, every other step must rise by exactly ell + 1, and the
-    cycle closes up by Fermat (theta^ell and theta reduce to the same
-    polynomial).  All three facts are re-verified and a violation
-    raises, since it can only mean a bug.  The solve reads the first
-    floor(k/12) + 1 coefficients of the weight-k form, and fewer raise
-    `PrecisionError`.
-    """
-    ell = form.prime
+def require_cycle_cap(ell: int, cap: int) -> None:
+    """Raise ValueError when ell is above the largest prime profiled."""
     if ell > cap:
         raise ValueError(
             f"cycle profiling is capped at ell <= {cap}; pass cap={ell} to override"
         )
+
+
+def tate_cycle(
+    form: ModularFormModEll | IsobaricPolynomial, cap: int = TATE_CYCLE_CAP
+) -> TateCycleProfile:
+    """Profile the full cycle of theta iterates of the form.
+
+    The cycle starts from the form's polynomial in Q, R over F_ell, taken
+    as given or, for a q-series, written by one solve; theta then acts on
+    polynomials, and each iterate is divided by A~ while it divides
+    exactly, which leaves it at its filtration.  The iterate
+    after a filtration divisible by ell must drop by a positive multiple
+    of ell - 1, every other step must rise by exactly ell + 1, and the
+    cycle closes up by Fermat (theta^ell and theta reduce to the same
+    polynomial).  All three facts are re-verified and a violation
+    raises, since it can only mean a bug.  The solve for a q-series reads
+    the first floor(k/12) + 1 coefficients of the weight-k form, and
+    fewer raise `PrecisionError`.
+    """
+    ell = form.prime
+    require_cycle_cap(ell, cap)
     start = time.perf_counter()
     base_poly, divisions = filtration_polynomial(form)
     base = base_poly.weight

@@ -108,6 +108,66 @@ def test_tate_cycle_command(capsys):
     assert payload["falls"] == [9, 9]
 
 
+def count_calls(monkeypatch, targets):
+    """Wrap each (module, name) wherever an eiscong module binds it; returns the counts."""
+    calls = {}
+    for module_name, name in targets:
+        original = getattr(sys.modules[module_name], name)
+        calls[name] = 0
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "eiscong" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    "filtration --r 2 --s -3 --t 1 --ell 41",
+    "--output json tate-cycle --r 1 --s -5 --t -2 --ell 43",
+    "a-tilde --ell 47",
+])
+def test_polynomial_commands_expand_and_solve_nothing(capsys, monkeypatch, argv):
+    # A~ is cached per prime; a cache filled by a solve would hide one here
+    filtration_module = sys.modules["eiscong.filtration"]
+    filtration_module.compute_a_tilde.cache_clear()
+    filtration_module._b_tilde.cache_clear()
+    calls = count_calls(monkeypatch, [
+        ("eiscong.filtration", "represent"),
+        ("eiscong.linalg", "solve_mod_prime"),
+        ("eiscong.eisenstein", "eisenstein_power_product"),
+    ])
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0 and out
+    assert calls == {"represent": 0, "solve_mod_prime": 0, "eisenstein_power_product": 0}
+
+
+def test_tate_cycle_refuses_a_prime_above_the_cap_before_building_the_lift(
+    capsys, monkeypatch
+):
+    calls = count_calls(monkeypatch, [("eiscong.filtration", "_lift_polynomial")])
+    code, out, err = run(capsys, "tate-cycle", "--r", "3", "--s", "1", "--t", "1",
+                         "--ell", "100003")
+    assert (code, out, calls) == (2, "", {"_lift_polynomial": 0})
+    assert err == (
+        "usage error: cycle profiling is capped at ell <= 200; pass cap=100003 to override\n"
+    )
+    # a composite or a prime without a lift is refused for that first
+    code, _, err = run(capsys, "tate-cycle", "--r", "0", "--s", "1", "--t", "1",
+                       "--ell", "9", "--cap", "5")
+    assert (code, err) == (2, "usage error: ell must be a prime at least 5, got 9\n")
+    code, _, err = run(capsys, "tate-cycle", "--r", "0", "--s", "-20", "--t", "1",
+                       "--ell", "7", "--cap", "5")
+    assert code == 2 and "no lift of this shape exists" in err
+    assert calls == {"_lift_polynomial": 0}
+    # under the cap the lift is built once
+    code, _, _ = run(capsys, "tate-cycle", "--r", "0", "--s", "1", "--t", "1", "--ell", "13")
+    assert (code, calls) == (0, {"_lift_polynomial": 1})
+
+
 def fresh_env():
     """The environment of a fresh interpreter that imports this package."""
     return {**os.environ, "PYTHONPATH": str(Path(eiscong.__file__).parents[1])}

@@ -6,9 +6,12 @@ ladder of solves, the cycle by theta on q-series and one ladder per
 iterate.  The schoolbook product of dense polynomials is kept as the
 reference for `dense_product`, which is one Kronecker product, and the
 long division `dense_quotient` (from the highest R-exponent down) as the
-reference for `strip_a_tilde`, which divides from the lowest up, and the
-solve of E2 at weight ell + 1 (`solved_b_tilde`) as the reference for
-B~ = -D(A~), which theta forms.
+reference for `strip_a_tilde`, which divides from the lowest up.  The
+solves that the closed forms replaced are kept as references too: E2 at
+weight ell + 1 (`solved_b_tilde`) for B~ = -D(A~), which theta reads,
+the constant 1 at weight ell - 1 (`solved_a_tilde`) for the
+hypergeometric A~, and the expanded lift at its weight for the lift's
+polynomial B~^r Q^(ell+s) R^(ell+t).
 """
 
 import logging
@@ -23,7 +26,7 @@ from eiscong.eisenstein import QuotientSpec, eisenstein_series, replacement_lift
 from eiscong.filtration import (
     IsobaricPolynomial,
     ModularFormModEll,
-    _tagged_polynomial,
+    _lift_polynomial,
     compute_a_tilde,
     dense_layout,
     dense_product,
@@ -394,7 +397,10 @@ def explicit_filtration_polynomial(form):
         )
     if all(form.series.coefficient(n) == 0 for n in range(s + 1)):
         raise ValueError("filtration is undefined for the zero reduction")
-    return _tagged_polynomial(form).strip_a_tilde()
+    poly = represent(form, form.weight)
+    if poly is None:
+        raise RuntimeError(f"series tagged weight {form.weight} matches no form")
+    return poly.strip_a_tilde()
 
 
 def result_or_error(call, form):
@@ -441,11 +447,47 @@ def test_a_tilde_and_b_tilde_evaluate_to_one_and_e2(ell):
 
 def solved_b_tilde(ell):
     """Reference B~: one solve writes E2, which is E_{ell+1} mod ell, at weight ell + 1."""
-    return _tagged_polynomial(ModularFormModEll(ell, ell + 1, eisenstein_series(2, ell, ell)))
+    return represent(ModularFormModEll(ell, ell + 1, eisenstein_series(2, ell, ell)), ell + 1)
 
 
 def test_b_tilde_is_minus_d_of_a_tilde():
     mismatches = [ell for ell in primerange(5, 400) if b_tilde(ell) != solved_b_tilde(ell)]
+    assert mismatches == []
+
+
+def solved_a_tilde(ell):
+    """Reference A~: one solve writes E_{ell-1}, which is 1 mod ell, at weight ell - 1."""
+    # ell terms cover the Sturm range
+    return represent(ModularFormModEll(ell, ell - 1, TruncatedSeries.one(ell, ell)), ell - 1)
+
+
+def test_closed_form_a_tilde_matches_the_solve():
+    mismatches = [ell for ell in primerange(5, 400) if compute_a_tilde(ell) != solved_a_tilde(ell)]
+    assert mismatches == []
+
+
+def lift_box(seed, count):
+    """Seeded (spec, ell) pairs with a lift: r <= 4, |s|, |t| <= 12, 5 <= ell < 200."""
+    rng = random.Random(seed)
+    primes = list(primerange(5, 200))
+    pairs = []
+    while len(pairs) < count:
+        spec = QuotientSpec(rng.randrange(5), rng.randrange(-12, 13), rng.randrange(-12, 13))
+        ell = rng.choice(primes)
+        if ell + spec.s >= 0 and ell + spec.t >= 0:
+            pairs.append((spec, ell))
+    return pairs
+
+
+def test_lift_polynomial_matches_the_solved_lift():
+    # the box holds r > 0, negative s and t, and the primes 5 and 7
+    pairs = [(QuotientSpec(3, -5, -4), 5), (QuotientSpec(2, -7, -6), 7)] + lift_box(21, 32)
+    assert any(spec.r and spec.s < 0 and spec.t < 0 for spec, _ in pairs)
+    mismatches = []
+    for spec, ell in pairs:
+        form = replacement_lift(spec, ell, profile_precision(spec, ell))
+        if _lift_polynomial(spec, ell) != represent(form, form.weight):
+            mismatches.append((spec, ell))
     assert mismatches == []
 
 
