@@ -234,11 +234,10 @@ def _cmd_verify_theorem(args):
     ]
     if result.identity_quotient:
         lines.append("identity quotient: the bound statement excludes r = s = t = 0")
-    for rep in result.reports:
-        residues = " ".join(map(str, rep.residues)) if rep.residues else "(none)"
-        lines.append(f"ell={rep.ell}\t{rep.method}\tresidues: {residues}")
-    for rep in result.sampled_above:
-        lines.append(f"above bound ell={rep.ell}\t{rep.method}\tresidues: (none)")
+    for prefix, reps in (("", result.reports), ("above bound ", result.sampled_above)):
+        for rep in reps:
+            residues = " ".join(map(str, rep.residues)) if rep.residues else "(none)"
+            lines.append(f"{prefix}ell={rep.ell}\t{rep.method}\tresidues: {residues}")
     payload = result.to_json()
     return payload, lines, payload["reports"] + payload["sampled_above"]
 

@@ -111,14 +111,26 @@ def quotient_q2_coefficient(r: int, s: int, t: int) -> int:
     )
 
 
+def lift_exponents(spec: QuotientSpec, ell: int) -> tuple[int, int, int]:
+    """Exponents (a, b, c) of the replacement lift E2^a * E4^b * E6^c mod ell.
+
+    The one statement of the lift's shape: (r, ell + s, ell + t).  Each
+    exponent differs from the quotient's by a multiple of ell, so by
+    Frobenius the factor is a unit series in q^ell.  Every other reader
+    of the lift derives from these exponents.
+    """
+    return spec.r, ell + spec.s, ell + spec.t
+
+
 def lift_weight(spec: QuotientSpec, ell: int) -> int:
-    """Weight of the replacement lift: (r+10)*ell + (r + 4s + 6t)."""
-    return (spec.r + 10) * ell + spec.r + 4 * spec.s + 6 * spec.t
+    """Weight of the replacement lift: a*(ell+1) + 4b + 6c, as E2 reduces to E_(ell+1)."""
+    a, b, c = lift_exponents(spec, ell)
+    return a * (ell + 1) + 4 * b + 6 * c
 
 
 def admits_lift(spec: QuotientSpec, ell: int) -> bool:
-    """Whether the lift's exponents ell + s and ell + t are both nonnegative."""
-    return ell + spec.s >= 0 and ell + spec.t >= 0
+    """Whether every exponent of the lift is nonnegative."""
+    return min(lift_exponents(spec, ell)) >= 0
 
 
 def require_lift(spec: QuotientSpec, ell: int) -> None:
@@ -132,16 +144,16 @@ def require_lift(spec: QuotientSpec, ell: int) -> None:
 
 
 def replacement_lift(spec: QuotientSpec, ell: int, terms: int) -> "ModularFormModEll":
-    """Replace the quotient by E2^r * E4^(ell+s) * E6^(ell+t) mod ell.
+    """Replace the quotient by its lift E2^a * E4^b * E6^c mod ell (`lift_exponents`).
 
-    This multiplies by the ell-th power of the unit series E4*E6, which
-    preserves every simple congruence mod ell, and lands in the space of
-    weight (r+10)*ell + (r+4s+6t) modular forms.  Since E2 reduces to
-    E_{ell+1}, the result really is the reduction of a modular form.
+    This multiplies by a unit series in q^ell, which preserves every
+    simple congruence mod ell, and lands in the space of modular forms
+    of weight `lift_weight`.  Since E2 reduces to E_{ell+1}, the result
+    really is the reduction of a modular form.
     """
     # imported here: filtration imports this module
     from .filtration import ModularFormModEll
 
     require_lift(spec, ell)
-    series = eisenstein_power_product(spec.r, ell + spec.s, ell + spec.t, ell, terms)
+    series = eisenstein_power_product(*lift_exponents(spec, ell), ell, terms)
     return ModularFormModEll(ell, lift_weight(spec, ell), series)

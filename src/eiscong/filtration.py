@@ -2,8 +2,8 @@
 
 A reduction mod ell of a weight-k form is a polynomial F in Q, R over
 F_ell at its tagged weight, in the monomial basis E4^a E6^b.  The
-replacement lift E2^r E4^(ell+s) E6^(ell+t) has a closed form,
-B~^r Q^(ell+s) R^(ell+t) (`_lift_polynomial`), and so has A~ below
+replacement lift E2^a E4^b E6^c (`eisenstein.lift_exponents`) has a
+closed form, B~^a Q^b R^c (`_lift_polynomial`), and so has A~ below
 (`compute_a_tilde`); the commands start from these.  A form given only
 as a q-series is written by one solve (`represent`): q-expansions are
 matched through the level one bound floor(k/12), and two reductions of
@@ -40,7 +40,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .eisenstein import QuotientSpec, eisenstein_power_product, require_lift
+from .eisenstein import QuotientSpec, eisenstein_power_product, lift_exponents, require_lift
 from .linalg import solve_mod_prime
 from .primes import require_prime
 from .series import PrecisionError, TruncatedSeries, _convolve
@@ -345,18 +345,20 @@ def _b_tilde(ell: int) -> tuple[int, ...]:
 
 
 def _lift_polynomial(spec: QuotientSpec, ell: int) -> IsobaricPolynomial:
-    """The replacement lift's polynomial B~^r Q^(ell+s) R^(ell+t) at the lift weight.
+    """The replacement lift's polynomial B~^a Q^b R^c at the lift weight.
 
+    (a, b, c) are the lift's exponents (`eisenstein.lift_exponents`).
     E4 and E6 are Q and R, and E2 is B~ mod ell, so this is the polynomial
     that represents `replacement_lift(spec, ell, ...)` at its weight,
-    built with no q-expansion: one monomial and r products with B~.
+    built with no q-expansion: one monomial and a products with B~.
     """
     require_lift(spec, ell)
-    weight = 4 * (ell + spec.s) + 6 * (ell + spec.t)
+    a, b, c = lift_exponents(spec, ell)
+    weight = 4 * b + 6 * c
     _, b0, length = dense_layout(weight)
     coeffs = [0] * length
-    coeffs[(ell + spec.t - b0) // 2] = 1
-    for _ in range(spec.r):
+    coeffs[(c - b0) // 2] = 1
+    for _ in range(a):
         coeffs = dense_product(ell, weight, coeffs, ell + 1, _b_tilde(ell))
         weight += ell + 1
     return IsobaricPolynomial._of_residues(ell, weight, tuple(coeffs))

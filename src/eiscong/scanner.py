@@ -106,10 +106,12 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     one coefficient scan of the quotient decides theta vanishing and,
     failing that, settles every nonzero residue by the finite
     certificate for the lift.  The scan reads the quotient in place of
-    the lift: the two differ by the unit (E4*E6)(q^ell) mod ell, which
-    maps each residue class of exponents to itself by a unitriangular
-    transform, so a class vanishes through any index on one side
-    exactly when it does on the other.
+    the lift: they differ by E2^(a-r) E4^(b-s) E6^(c-t), with (a, b, c)
+    the lift's exponents (`lift_exponents`), a unit series in q^ell mod
+    ell (at present (E4*E6)(q^ell)), which maps each residue class of
+    exponents to itself by a unitriangular transform, so a class
+    vanishes through any index on one side exactly when it does on the
+    other.
 
     The quotient is expanded mod ell to `FIRST_WINDOW` terms first, and
     to `certificate_precision` only when those leave the scan undecided.

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from .eisenstein import (
     QuotientSpec,
+    lift_weight,
     quotient_q2_coefficient,
     quotient_q_coefficient,
     quotient_series,
@@ -271,14 +272,15 @@ def theta_vanishes(
 def theta_zero_congruences_hold(spec: QuotientSpec, ell: int) -> bool:
     """The three closed-form congruences a theta-killed quotient must satisfy mod ell.
 
-    The q and q^2 coefficients must vanish, and so must r + 4s + 6t,
-    which is the filtration of the lifted form mod ell.
+    The q and q^2 coefficients must vanish, and so must the weight of the
+    lift (`lift_weight`) mod ell.  That weight is not the filtration: the
+    lift of E4^-3 E6^-3 at ell = 5 has weight 20 and filtration 12.
     """
     r, s, t = spec.r, spec.s, spec.t
     return (
         quotient_q_coefficient(r, s, t) % ell == 0
         and quotient_q2_coefficient(r, s, t) % ell == 0
-        and (r + 4 * s + 6 * t) % ell == 0
+        and lift_weight(spec, ell) % ell == 0
     )
 
 

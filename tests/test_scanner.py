@@ -16,6 +16,7 @@ from eiscong.eisenstein import (
     lift_weight,
     replacement_lift,
 )
+from eiscong.filtration import _lift_polynomial
 from eiscong.scanner import (
     BERNDT_YEE_TABLE,
     CounterexampleError,
@@ -90,37 +91,38 @@ def test_scan_refuses_undersized_primes():
     assert report.residues == ()
 
 
-def value_error(call, *args):
-    """The message of the ValueError the call raises, or None."""
+def weight_or_refusal(call, *args):
+    """The weight of what the call returns, or the message of its ValueError."""
     try:
-        call(*args)
+        return call(*args).weight
     except ValueError as exc:
         return str(exc)
-    return None
 
 
 def test_one_rule_decides_which_primes_carry_a_lift():
-    # admits_lift, replacement_lift and scan_prime all follow the
-    # lift's exponents ell + s and ell + t
+    # admits_lift, replacement_lift, the lift's polynomial and scan_prime
+    # all follow the lift's exponents (r, ell + s, ell + t), and every
+    # admitted lift has the weight (r+10)*ell + r + 4s + 6t
     disagreements, seen = [], set()
-    for s, t in itertools.product(range(-20, 5), repeat=2):
-        spec = QuotientSpec(0, s, t)
+    for r, s, t in itertools.product((0, 2), range(-20, 5), range(-20, 5)):
+        spec = QuotientSpec(r, s, t)
         for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31):
             admitted = ell + s >= 0 and ell + t >= 0
             seen.add(admitted)
+            weight = (r + 10) * ell + r + 4 * s + 6 * t
+            outcome = weight if admitted else (
+                f"ell={ell} is smaller than |s|={abs(s)} or |t|={abs(t)}; "
+                "no lift of this shape exists (the prime is below the size bound)"
+            )
             got = (
                 admits_lift(spec, ell),
-                value_error(replacement_lift, spec, ell, 4),
+                lift_weight(spec, ell),
+                weight_or_refusal(replacement_lift, spec, ell, 4),
+                weight_or_refusal(_lift_polynomial, spec, ell),
                 scan_prime(spec, ell).method != METHOD_BELOW_BOUND,
             )
-            expected = (True, None, True) if admitted else (
-                False,
-                f"ell={ell} is smaller than |s|={abs(s)} or |t|={abs(t)}; "
-                "no lift of this shape exists (the prime is below the size bound)",
-                False,
-            )
-            if got != expected:
-                disagreements.append((s, t, ell))
+            if got != (admitted, weight, outcome, outcome, admitted):
+                disagreements.append((r, s, t, ell))
     assert disagreements == []
     assert seen == {True, False}
 
