@@ -1,6 +1,6 @@
 """Exact arithmetic on Eisenstein series quotients and their congruences mod primes."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .series import TruncatedSeries, ModulusMismatchError, PrecisionError
 from .eisenstein import (

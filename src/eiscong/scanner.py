@@ -41,6 +41,7 @@ from .tate import (
     METHOD_TRIVIAL_PRIME,
     THETA_WINDOW_DEFAULT,
     CongruenceReport,
+    certificate_terms,
     congruence_scan,
     theta_vanishes,
     theta_zero_congruences_hold,
@@ -83,8 +84,8 @@ def remark_bound(spec: QuotientSpec) -> int:
 
 
 def certificate_precision(spec: QuotientSpec, ell: int) -> int:
-    """Series length needed for the congruence certificate at ell."""
-    return sturm(lift_weight(spec, ell) + (ell + 1) ** 2 // 2) + 2
+    """Series length the congruence certificate at ell reads: its whole Sturm window."""
+    return certificate_terms(lift_weight(spec, ell), ell)
 
 
 def profile_precision(spec: QuotientSpec, ell: int) -> int:
@@ -199,6 +200,17 @@ def _has_type(value, kind) -> bool:
     return type(value) is list and all(type(x) is entry for x in value)
 
 
+def _sweep_could_write(record: dict) -> bool:
+    # a method `_scan` records (never `heuristic`), and residues strictly
+    # increasing within 1..ell-1; a record that passes is plausible, not
+    # authenticated
+    residues, ell = record["residues"], record["ell"]
+    methods = (METHOD_RIGOROUS, METHOD_THETA_VANISHING, METHOD_TRIVIAL_PRIME, METHOD_BELOW_BOUND)
+    return record["method"] in methods and all(
+        a < b for a, b in zip([0, *residues], [*residues, ell])
+    )
+
+
 def record_to_report(record: dict) -> CongruenceReport:
     return CongruenceReport(
         spec=QuotientSpec(record["r"], record["s"], record["t"]),
@@ -249,9 +261,11 @@ class ResultsCache:
     """Append-only JSONL records keyed by (r, s, t, ell, version).
 
     One file per quotient, one record per analysed prime.  Reads return
-    the latest record for a key; a line that is not UTF-8, not JSON, or
-    misses a field or its type in `RECORD_FIELDS` is skipped with a
-    warning; bumping the version invalidates all earlier lines.
+    the latest record for a key; a line that is not UTF-8, not JSON,
+    misses a field or its type in `RECORD_FIELDS`, or holds a record no
+    sweep writes (a method `scan_prime` never reports, or residues that
+    are not strictly increasing within 1..ell-1) is skipped with a warning;
+    bumping the version invalidates all earlier lines.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -283,6 +297,9 @@ class ResultsCache:
                     continue
                 if not all(_has_type(record[k], kind) for k, kind in RECORD_FIELDS.items()):
                     log.warning("skipping mistyped record at %s:%d", path, lineno)
+                    continue
+                if not _sweep_could_write(record):
+                    log.warning("skipping impossible record at %s:%d", path, lineno)
                     continue
                 if record["version"] == __version__ and (
                     record["r"], record["s"], record["t"]

@@ -93,7 +93,7 @@ def require_cycle_cap(ell: int, cap: int) -> None:
     """Raise ValueError when ell is above the largest prime profiled."""
     if ell > cap:
         raise ValueError(
-            f"cycle profiling is capped at ell <= {cap}; pass cap={ell} to override"
+            f"cycle profiling is capped at ell <= {cap}; raise the cap to {ell} to profile it"
         )
 
 
@@ -178,6 +178,16 @@ def tate_cycle(
     )
 
 
+def certificate_terms(weight: int, ell: int) -> int:
+    """Terms a(0), ..., a(s) the certificate of a weight-`weight` form mod ell reads.
+
+    s is the Sturm index of weight + (ell+1)^2/2, the weight of
+    theta^((ell+1)/2) f.  A series of this many terms always decides
+    `congruence_scan`; one term fewer can leave it undecided.
+    """
+    return sturm(weight + (ell + 1) ** 2 // 2) + 1
+
+
 def congruence_scan(
     series: TruncatedSeries, ell: int, weight: int
 ) -> tuple[bool, tuple[int, ...]]:
@@ -199,7 +209,7 @@ def congruence_scan(
     answer as the full window.  A window that ends undecided raises
     `PrecisionError`.
     """
-    s = sturm(weight + (ell + 1) ** 2 // 2)
+    terms = certificate_terms(weight, ell)
     s0 = sturm(weight + ell + 1)
     is_square = [False] * ell
     for x in range(1, ell):
@@ -207,7 +217,7 @@ def congruence_scan(
     theta_kills = True
     # quadratic classes (is_square of the residue) holding a nonzero a(n)
     occupied = set()
-    head = series.coeffs[: max(s + 1 - series.valuation, 0)]
+    head = series.coeffs[: max(terms - series.valuation, 0)]
     for n, a in enumerate(head, start=series.valuation):
         if a and n % ell:
             theta_kills = theta_kills and n > s0
@@ -215,9 +225,9 @@ def congruence_scan(
             if len(occupied) == 2:
                 break
     else:
-        if series.precision < s + 1:
+        if series.precision < terms:
             raise PrecisionError(
-                f"the congruence certificate at ell={ell} needs precision {s + 1}, "
+                f"the congruence certificate at ell={ell} needs precision {terms}, "
                 f"have {series.precision}, and the window does not decide it"
             )
     residues = tuple(c for c in range(1, ell) if is_square[c] not in occupied)

@@ -153,7 +153,8 @@ def test_tate_cycle_refuses_a_prime_above_the_cap_before_building_the_lift(
                          "--ell", "100003")
     assert (code, out, calls) == (2, "", {"_lift_polynomial": 0})
     assert err == (
-        "usage error: cycle profiling is capped at ell <= 200; pass cap=100003 to override\n"
+        "usage error: cycle profiling is capped at ell <= 200; raise the cap to 100003 to "
+        "profile it\n"
     )
     # a composite or a prime without a lift is refused for that first
     code, _, err = run(capsys, "tate-cycle", "--r", "0", "--s", "1", "--t", "1",

@@ -14,6 +14,7 @@ from eiscong.eisenstein import (
     admits_lift,
     eisenstein_power_product,
     lift_weight,
+    quotient_series,
     replacement_lift,
 )
 from eiscong.filtration import _lift_polynomial
@@ -31,7 +32,7 @@ from eiscong.scanner import (
     verify_table,
     verify_theorem,
 )
-from eiscong.series import TruncatedSeries
+from eiscong.series import PrecisionError, TruncatedSeries
 from eiscong.tate import (
     METHOD_BELOW_BOUND,
     METHOD_HEURISTIC,
@@ -39,6 +40,7 @@ from eiscong.tate import (
     METHOD_THETA_VANISHING,
     METHOD_TRIVIAL_PRIME,
     CongruenceReport,
+    congruence_scan,
 )
 
 
@@ -181,10 +183,31 @@ def test_scan_logs_the_window_it_read(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "eiscong.scanner"]
     # both classes hold a nonzero a(n) before n = 16; the congruences at 17
     # need the whole Sturm range
-    assert decided.precision == certificate_precision(spec, 181) == 1529
-    assert lines[0].startswith(f"scan mod 181: {METHOD_RIGOROUS}, precision 1529, window 16, ")
-    assert carrying.precision == 26
-    assert lines[1].startswith(f"scan mod 17: {METHOD_RIGOROUS}, precision 26, window 26, ")
+    assert decided.precision == certificate_precision(spec, 181) == 1528
+    assert lines[0].startswith(f"scan mod 181: {METHOD_RIGOROUS}, precision 1528, window 16, ")
+    assert carrying.precision == 25
+    assert lines[1].startswith(f"scan mod 17: {METHOD_RIGOROUS}, precision 25, window 25, ")
+
+
+@pytest.mark.parametrize(
+    "spec, ell, method",
+    [(QuotientSpec(0, -12, 1), 17, METHOD_RIGOROUS),
+     (QuotientSpec(0, 1, 1), 11, METHOD_THETA_VANISHING)],
+    ids=["congruences", "theta-killed"],
+)
+def test_the_certificate_window_is_the_least_that_decides(spec, ell, method, caplog):
+    # neither prime holds a nonzero a(n) in both quadratic classes, so its
+    # scan reads the whole window, and one term fewer leaves it undecided
+    precision, weight = certificate_precision(spec, ell), lift_weight(spec, ell)
+    with caplog.at_level(logging.INFO, logger="eiscong.scanner"):
+        report = scan_prime(spec, ell)
+    theta_kills, residues = congruence_scan(quotient_series(spec, ell, precision), ell, weight)
+    assert (report.method, report.precision) == (method, precision)
+    assert theta_kills == (method == METHOD_THETA_VANISHING)
+    assert report.residues == (tuple(range(1, ell)) if theta_kills else residues)
+    with pytest.raises(PrecisionError, match=f"needs precision {precision}, have {precision - 1}"):
+        congruence_scan(quotient_series(spec, ell, precision - 1), ell, weight)
+    assert f", precision {precision}, window {precision}, " in caplog.records[-1].getMessage()
 
 
 def test_an_undecided_prefix_expands_the_whole_window_once(monkeypatch, caplog):
@@ -350,34 +373,41 @@ def test_cache_skips_json_lines_that_are_not_records(tmp_path, caplog):
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [(None, None), ("residues", 5), ("ell", [5]), ("residues", "24"), ("ell", 5.0),
-     ("method", 7)],
-    ids=["not-utf-8", "residues-int", "ell-list", "residues-str", "ell-float", "method-int"],
+    "fields, kind",
+    [(None, "corrupt"), ({"residues": 5}, "mistyped"), ({"ell": [5]}, "mistyped"),
+     ({"residues": "24"}, "mistyped"), ({"ell": 5.0}, "mistyped"), ({"method": 7}, "mistyped"),
+     ({"method": "bogus", "residues": [1, 2]}, "impossible"),
+     ({"method": METHOD_HEURISTIC}, "impossible"), ({"residues": [2, 1]}, "impossible"),
+     ({"residues": [3, 3]}, "impossible"), ({"residues": [0, 5]}, "impossible"),
+     ({"residues": [23]}, "impossible")],
+    ids=["not-utf-8", "residues-int", "ell-list", "residues-str", "ell-float", "method-int",
+         "bogus-method-and-residues", "heuristic", "residues-descending", "residues-repeated",
+         "residue-zero", "residue-ell"],
 )
 def test_a_damaged_record_is_skipped_and_its_prime_scanned_afresh(
-    tmp_path, capsys, caplog, field, value
+    tmp_path, capsys, caplog, fields, kind
 ):
-    # the record of ell = 13 becomes a line that is not UTF-8, or gets a mistyped field
+    # the record of ell = 23, sampled above the bound 19 where any residue is
+    # reported as a counterexample, becomes a line that is not UTF-8, or gets
+    # a mistyped field or one no sweep writes
     argv = ["--results-dir", str(tmp_path), "verify-theorem", "--r", "0", "--s", "1",
-            "--t", "1", "--remark"]
+            "--t", "1", "--remark", "--sample-above", "1"]
     assert main(argv) == 0
     clean = capsys.readouterr().out
     path = ResultsCache(tmp_path).path_for(QuotientSpec(0, 1, 1))
     lines = path.read_bytes().splitlines()
     records = [json.loads(line) for line in lines]
-    i = next(i for i, record in enumerate(records) if record["ell"] == 13)
-    damaged = {**records[i], field: value}
-    lines[i] = b"\xff\xfe garbage" if field is None else json.dumps(damaged).encode()
+    i = next(i for i, record in enumerate(records) if record["ell"] == 23)
+    damaged = {**records[i], **(fields or {})}
+    lines[i] = b"\xff\xfe garbage" if fields is None else json.dumps(damaged).encode()
     path.write_bytes(b"".join(line + b"\n" for line in lines))
     with caplog.at_level(logging.WARNING, logger="eiscong.scanner"):
         assert main(argv) == 0
     assert capsys.readouterr().out == clean
-    kind = "corrupt" if field is None else "mistyped"
     assert [r.getMessage() for r in caplog.records] == [
         f"skipping {kind} record at {path}:{i + 1}"
     ]
-    # ell = 13 alone was scanned again, and its record appended
+    # ell = 23 alone was scanned again, and its record appended
     appended = path.read_bytes().splitlines()[len(lines):]
     assert [json.loads(line) for line in appended] == [records[i]]
 
