@@ -25,9 +25,12 @@ B~ = -D(A~) as polynomials (`_b_tilde`, formed once per prime).
 `IsobaricPolynomial` has one format, dense: a weight-k polynomial is
 the tuple of its coefficients on Q^(a0 - 3j) R^(b0 + 2j), j = 0, 1, ...,
 with b0 in {0, 1} fixed by k mod 4 (see `dense_layout`).  A product is
-one Kronecker product of coefficient lists (`series._convolve`).  Since
-R^2 never divides A~, division by A~ reads each quotient coefficient off
-from the lowest R-exponent up, and one product with A~ checks that the
+one Kronecker product of coefficient lists (`series._convolve`).  A~
+vanishes at the supersingular points, so where its x-part has a root x0
+in F_ell, a polynomial whose x-part is nonzero at x0 is not divisible by
+A~: one evaluation rules the division out.  Otherwise, since R^2 never
+divides A~, division by A~ reads each quotient coefficient off from the
+lowest R-exponent up, and one product with A~ confirms that the
 division is exact.
 """
 
@@ -178,20 +181,27 @@ class IsobaricPolynomial:
     def strip_a_tilde(self) -> tuple["IsobaricPolynomial", int]:
         """Divide by A~ while it divides exactly; the quotient and the number of divisions.
 
-        On its dense layout a polynomial is Q^a0 R^b0 times a polynomial in
-        x = R^2 / Q^3.  A~'s constant term in x is a unit (R^2 never divides
-        A~), so the only possible quotient is read off coefficient by
-        coefficient from the lowest R-exponent up, on the quotient weight's
-        layout; A~ divides exactly when that candidate times A~ gives the
-        polynomial back.  By Swinnerton-Dyer, for the polynomial of a nonzero
-        form at any weight the quotient sits at the form's filtration.
+        On its dense layout a polynomial is Q^a0 R^b0 times a polynomial f
+        in x = R^2 / Q^3, and A~ is Q^a R^b g(x).  If A~ divides, f is
+        x^e g h with e in {0, 1} (R R = Q^3 x), so f vanishes at every root
+        x0 of g in F_ell (`_a_tilde_root`): a nonzero f(x0) proves that A~
+        does not divide, at the cost of one evaluation.  Otherwise, since
+        g's constant term is a unit (R^2 never divides A~), the only
+        possible quotient is read off coefficient by coefficient from the
+        lowest R-exponent up, on the quotient weight's layout; A~ divides
+        exactly when that candidate times A~ gives the polynomial back.  By
+        Swinnerton-Dyer, for the polynomial of a nonzero form at any weight
+        the quotient sits at the form's filtration.
         """
         ell = self.prime
         d = compute_a_tilde(ell).coeffs
         top, inv = len(d) - 1, pow(d[0], -1, ell)
         high = d[:0:-1]  # d[top], ..., d[1]
+        root = _a_tilde_root(ell)
         poly, count = self, 0
         while (weight := poly.weight - (ell - 1)) >= 0:
+            if root is not None and _horner(poly.coeffs, root, ell):
+                break
             _, b0, length = dense_layout(weight)
             f = poly.coeffs[b0 & dense_layout(ell - 1)[1] :]
             q = [0] * top  # q[top + n] is the quotient's coefficient n
@@ -342,6 +352,28 @@ def compute_a_tilde(ell: int) -> IsobaricPolynomial:
 def _b_tilde(ell: int) -> tuple[int, ...]:
     """Dense coefficients of B~ = -D(A~), the weight ell + 1 polynomial of value E2."""
     return tuple(-x % ell for x in _derivative(ell, ell - 1, compute_a_tilde(ell).coeffs))
+
+
+@lru_cache(maxsize=None)
+def _a_tilde_root(ell: int) -> int | None:
+    """Some x0 in 1..ell-1 with g(x0) = 0 mod ell, g the x-part of A~; None if g has none.
+
+    g(x) = sum d_j x^j for A~'s dense coefficients d_j.  Its roots are
+    x = 1 - 1728/j at the supersingular j other than 0 and 1728 (Kaneko
+    and Zagier), which need not lie in F_ell: one does at every prime
+    13 <= ell < 400, none at 5, 7 and 11.  0 is no root, as d_0 is a
+    unit, and neither is 1, as the d_j sum to 1.
+    """
+    d = compute_a_tilde(ell).coeffs
+    return next((x for x in range(2, ell) if not _horner(d, x, ell)), None)
+
+
+def _horner(coeffs: Sequence[int], x: int, ell: int) -> int:
+    """sum coeffs[j] x^j mod ell."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * x + c) % ell
+    return value
 
 
 def _lift_polynomial(spec: QuotientSpec, ell: int) -> IsobaricPolynomial:

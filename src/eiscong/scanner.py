@@ -200,15 +200,25 @@ def _has_type(value, kind) -> bool:
     return type(value) is list and all(type(x) is entry for x in value)
 
 
-def _sweep_could_write(record: dict) -> bool:
-    # a method `_scan` records (never `heuristic`), and residues strictly
-    # increasing within 1..ell-1; a record that passes is plausible, not
-    # authenticated
-    residues, ell = record["residues"], record["ell"]
-    methods = (METHOD_RIGOROUS, METHOD_THETA_VANISHING, METHOD_TRIVIAL_PRIME, METHOD_BELOW_BOUND)
-    return record["method"] in methods and all(
-        a < b for a, b in zip([0, *residues], [*residues, ell])
+def _sweep_could_write(record: dict, spec: QuotientSpec) -> bool:
+    # residues strictly increasing within 1..ell-1, and all that `_scan`
+    # decides for the quotient without a scan: the method by the prime, every
+    # residue at a trivial or theta-killed prime and none below the size
+    # bound, and the weight and precision of a certified prime.  A record
+    # that passes is plausible, not authenticated
+    ell, method, residues = record["ell"], record["method"], record["residues"]
+    if not all(a < b for a, b in zip([0, *residues], [*residues, ell])):
+        return False
+    every = len(residues) == ell - 1
+    unsized = record["weight"] is None and record["precision"] is None
+    if ell < 5:
+        return ell in (2, 3) and method == METHOD_TRIVIAL_PRIME and every and unsized
+    if not admits_lift(spec, ell):
+        return method == METHOD_BELOW_BOUND and not residues and unsized
+    sized = (record["weight"], record["precision"]) == (
+        lift_weight(spec, ell), certificate_precision(spec, ell)
     )
+    return sized and (method == METHOD_RIGOROUS or (method == METHOD_THETA_VANISHING and every))
 
 
 def record_to_report(record: dict) -> CongruenceReport:
@@ -261,11 +271,13 @@ class ResultsCache:
     """Append-only JSONL records keyed by (r, s, t, ell, version).
 
     One file per quotient, one record per analysed prime.  Reads return
-    the latest record for a key; a line that is not UTF-8, not JSON,
-    misses a field or its type in `RECORD_FIELDS`, or holds a record no
-    sweep writes (a method `scan_prime` never reports, or residues that
-    are not strictly increasing within 1..ell-1) is skipped with a warning;
-    bumping the version invalidates all earlier lines.
+    the latest record for a key; a line that is not UTF-8, not JSON, or
+    misses a field or its type in `RECORD_FIELDS` is skipped with a
+    warning, and so is a record of the current version and quotient that
+    no sweep writes: residues not strictly increasing within 1..ell-1, or
+    a method, residues, weight or precision other than `scan_prime`
+    decides for the prime without a scan.  Bumping the version
+    invalidates all earlier lines.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -298,13 +310,14 @@ class ResultsCache:
                 if not all(_has_type(record[k], kind) for k, kind in RECORD_FIELDS.items()):
                     log.warning("skipping mistyped record at %s:%d", path, lineno)
                     continue
-                if not _sweep_could_write(record):
+                if record["version"] != __version__ or (
+                    record["r"], record["s"], record["t"]
+                ) != (spec.r, spec.s, spec.t):
+                    continue
+                if not _sweep_could_write(record, spec):
                     log.warning("skipping impossible record at %s:%d", path, lineno)
                     continue
-                if record["version"] == __version__ and (
-                    record["r"], record["s"], record["t"]
-                ) == (spec.r, spec.s, spec.t):
-                    latest[record["ell"]] = record
+                latest[record["ell"]] = record
         return {ell: record_to_report(record) for ell, record in latest.items()}
 
     def get(self, spec: QuotientSpec, ell: int) -> CongruenceReport | None:

@@ -22,10 +22,11 @@ from typing import Sequence
 import pytest
 from sympy import primerange
 
-from eiscong.eisenstein import QuotientSpec, eisenstein_series, replacement_lift
+from eiscong.eisenstein import QuotientSpec, admits_lift, eisenstein_series, replacement_lift
 from eiscong.filtration import (
     IsobaricPolynomial,
     ModularFormModEll,
+    _a_tilde_root,
     _lift_polynomial,
     compute_a_tilde,
     dense_layout,
@@ -326,7 +327,7 @@ def long_division_strip(poly):
     return poly, count
 
 
-@pytest.mark.parametrize("ell", [5, 7, 11, 13, 101, 199])
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 29, 31, 101, 199])
 def test_strip_a_tilde_matches_long_division(ell):
     rng = random.Random(ell)
     a_tilde = compute_a_tilde(ell)
@@ -368,6 +369,73 @@ def test_internal_builders_pass_the_checked_constructor(ell):
         poly, _ = image.strip_a_tilde()
         built += [image, poly]
     assert [IsobaricPolynomial(p.prime, p.weight, p.coeffs) for p in built] == built
+
+
+def test_a_tilde_root_is_a_root_of_its_x_part():
+    roots = {ell: _a_tilde_root(ell) for ell in primerange(5, 400)}
+    assert [ell for ell, x in roots.items() if x is None] == [5, 7, 11]
+    for ell, x in roots.items():
+        g = compute_a_tilde(ell).coeffs
+        assert x is None or (0 < x < ell and sum(c * x**j for j, c in enumerate(g)) % ell == 0)
+    # every capped prime above 11 takes the pre-test, the benchmark's tate
+    # primes 29 and 31 among them
+    capped = list(primerange(13, TATE_CYCLE_CAP + 1))
+    assert {29, 31} <= set(capped)
+    assert [ell for ell in capped if roots[ell] is None] == []
+
+
+def count_strip_products(monkeypatch, spec, ell):
+    """Products made inside `strip_a_tilde` over one cycle, exact divisions and calls."""
+    counts = {"products": 0, "divisions": 0, "calls": 0}
+    inside = False
+    product, strip = dense_product, IsobaricPolynomial.strip_a_tilde
+
+    def counted_product(*args):
+        counts["products"] += inside
+        return product(*args)
+
+    def counted_strip(poly):
+        nonlocal inside
+        inside = True
+        try:
+            lowered, count = strip(poly)
+        finally:
+            inside = False
+        counts["divisions"] += count
+        counts["calls"] += 1
+        return lowered, count
+
+    with monkeypatch.context() as patch:
+        patch.setattr("eiscong.filtration.dense_product", counted_product)
+        patch.setattr(IsobaricPolynomial, "strip_a_tilde", counted_strip)
+        tate_cycle(_lift_polynomial(spec, ell))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "spec, ell",
+    [(QuotientSpec(0, 1, -3), 29), (QuotientSpec(0, -12, 1), 29), (QuotientSpec(1, 0, -1), 31),
+     (QuotientSpec(0, 0, -2), 53)],
+)
+def test_the_pre_test_leaves_one_product_with_a_tilde_per_exact_division(
+    monkeypatch, spec, ell
+):
+    counts = count_strip_products(monkeypatch, spec, ell)
+    assert counts["products"] == counts["divisions"] > 0
+    # without a root every call ends in one more product, the failing one
+    monkeypatch.setattr("eiscong.filtration._a_tilde_root", lambda ell: None)
+    fallback = count_strip_products(monkeypatch, spec, ell)
+    assert fallback["divisions"] == counts["divisions"]
+    assert fallback["products"] == fallback["divisions"] + fallback["calls"]
+
+
+def test_cycles_without_the_pre_test_give_the_same_profiles(monkeypatch):
+    cases = [
+        (spec, ell) for ell in primerange(13, 62) for spec in CYCLE_SPECS if admits_lift(spec, ell)
+    ]
+    profiles = [tate_cycle(_lift_polynomial(spec, ell)) for spec, ell in cases]
+    monkeypatch.setattr("eiscong.filtration._a_tilde_root", lambda ell: None)
+    assert [tate_cycle(_lift_polynomial(spec, ell)) for spec, ell in cases] == profiles
 
 
 def test_a_tilde_has_a_unit_coefficient_at_the_lowest_r_exponent():

@@ -379,10 +379,14 @@ def test_cache_skips_json_lines_that_are_not_records(tmp_path, caplog):
      ({"method": "bogus", "residues": [1, 2]}, "impossible"),
      ({"method": METHOD_HEURISTIC}, "impossible"), ({"residues": [2, 1]}, "impossible"),
      ({"residues": [3, 3]}, "impossible"), ({"residues": [0, 5]}, "impossible"),
-     ({"residues": [23]}, "impossible")],
+     ({"residues": [23]}, "impossible"),
+     ({"method": METHOD_TRIVIAL_PRIME, "residues": [1, 2]}, "impossible"),
+     ({"method": METHOD_THETA_VANISHING, "residues": [1]}, "impossible"),
+     ({"precision": None}, "impossible")],
     ids=["not-utf-8", "residues-int", "ell-list", "residues-str", "ell-float", "method-int",
          "bogus-method-and-residues", "heuristic", "residues-descending", "residues-repeated",
-         "residue-zero", "residue-ell"],
+         "residue-zero", "residue-ell", "trivial-above-3", "theta-vanishing-one-residue",
+         "rigorous-unsized"],
 )
 def test_a_damaged_record_is_skipped_and_its_prime_scanned_afresh(
     tmp_path, capsys, caplog, fields, kind
@@ -410,6 +414,51 @@ def test_a_damaged_record_is_skipped_and_its_prime_scanned_afresh(
     # ell = 23 alone was scanned again, and its record appended
     appended = path.read_bytes().splitlines()[len(lines):]
     assert [json.loads(line) for line in appended] == [records[i]]
+
+
+def test_every_record_a_scan_writes_is_served(tmp_path, caplog):
+    # trivial, below-bound, certified and theta-killed primes
+    reports = [scan_prime(QuotientSpec(0, -12, 1), ell) for ell in (2, 3, 5, 11, 13, 17)]
+    reports.append(scan_prime(QuotientSpec(0, 1, 1), 11))
+    assert {rep.method for rep in reports} == {
+        METHOD_TRIVIAL_PRIME, METHOD_BELOW_BOUND, METHOD_RIGOROUS, METHOD_THETA_VANISHING
+    }
+    cache = ResultsCache(tmp_path)
+    cache.directory.mkdir(parents=True, exist_ok=True)
+    for rep in reports:
+        with open(cache.path_for(rep.spec), "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(report_to_record(rep, 0)) + "\n")
+    with caplog.at_level(logging.WARNING, logger="eiscong.scanner"):
+        assert [cache.get(rep.spec, rep.ell) for rep in reports] == reports
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"method": METHOD_THETA_VANISHING, "residues": [1, 2]}, {"method": METHOD_BELOW_BOUND},
+     {"precision": 8}, {"weight": None, "precision": None}],
+    ids=["theta-vanishing-two-residues", "below-bound-with-a-lift", "precision-one-high",
+         "unsized"],
+)
+def test_an_impossible_record_warns_only_at_the_current_version(tmp_path, caplog, fields):
+    # the weight and precision rule applies to current records only: a file
+    # of an older version, whose precisions were one higher, stays quiet
+    spec = QuotientSpec(0, 1, 1)
+    cache = ResultsCache(tmp_path)
+    record = {**report_to_record(scan_prime(spec, 5), bound=19), **fields}
+    cache.directory.mkdir(parents=True, exist_ok=True)
+    path = cache.path_for(spec)
+    path.write_text(json.dumps(record) + "\n")
+    with caplog.at_level(logging.WARNING, logger="eiscong.scanner"):
+        assert cache.get(spec, 5) is None
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping impossible record at {path}:1"
+    ]
+    path.write_text(json.dumps({**record, "version": "0.1.0"}) + "\n")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="eiscong.scanner"):
+        assert cache.get(spec, 5) is None
+    assert caplog.records == []
 
 
 def test_cache_version_bump_invalidates(tmp_path):
