@@ -145,6 +145,10 @@ def _emit(args, payload: dict, table_lines: list[str], csv_rows: list[dict] | No
             print(line)
 
 
+def _residues_field(residues) -> str:
+    return "residues: " + (" ".join(map(str, residues)) if residues else "(none)")
+
+
 def _cmd_series(args):
     if args.iterations < 0:
         raise ValueError(f"--iterations must be nonnegative, got {args.iterations}")
@@ -209,10 +213,7 @@ def _cmd_find_congruences(args):
     else:
         report = scan_prime(spec, ell)
     record = report_to_record(report, bound=theorem_bound(spec))
-    lines = [
-        f"{spec} mod {ell}: method={report.method}",
-        f"residues: {' '.join(map(str, report.residues)) if report.residues else '(none)'}",
-    ]
+    lines = [f"{spec} mod {ell}: method={report.method}", _residues_field(report.residues)]
     return record, lines, [record]
 
 
@@ -236,8 +237,7 @@ def _cmd_verify_theorem(args):
         lines.append("identity quotient: the bound statement excludes r = s = t = 0")
     for prefix, reps in (("", result.reports), ("above bound ", result.sampled_above)):
         for rep in reps:
-            residues = " ".join(map(str, rep.residues)) if rep.residues else "(none)"
-            lines.append(f"{prefix}ell={rep.ell}\t{rep.method}\tresidues: {residues}")
+            lines.append(f"{prefix}ell={rep.ell}\t{rep.method}\t{_residues_field(rep.residues)}")
     payload = result.to_json()
     return payload, lines, payload["reports"] + payload["sampled_above"]
 

@@ -101,10 +101,9 @@ def profile_precision(spec: QuotientSpec, ell: int) -> int:
 def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     """Full congruence analysis of one prime, certified to `certificate_precision`.
 
-    Primes 2 and 3 are trivial (every series involved reduces to 1) and
-    reported without analysis.  A prime below |s| or |t| has no lift
-    (`admits_lift`) and is recorded as disposed of by size.  Otherwise
-    one coefficient scan of the quotient decides theta vanishing and,
+    All that the prime decides before a coefficient is read is
+    `_before_scan`'s.  Where that gives a weight, one coefficient scan
+    of the quotient decides theta vanishing and,
     failing that, settles every nonzero residue by the finite
     certificate for the lift.  The scan reads the quotient in place of
     the lift: they differ by E2^(a-r) E4^(b-s) E6^(c-t), with (a, b, c)
@@ -128,40 +127,47 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     return _scan(spec, _shared_prefix(spec, [ell]), ell)[0]
 
 
+def _before_scan(spec: QuotientSpec, ell: int) -> tuple | None:
+    # what a scan at ell decides before reading a coefficient, as (method, residues
+    # as a range, weight, precision): the report at 2, 3 and where no lift exists,
+    # the theta-killed one at a certified prime; None at an ell no scan runs at
+    if ell in (2, 3):
+        return METHOD_TRIVIAL_PRIME, range(1, ell), None, None
+    if ell < 5:
+        return None
+    if not admits_lift(spec, ell):
+        return METHOD_BELOW_BOUND, range(0), None, None
+    return (METHOD_THETA_VANISHING, range(1, ell), lift_weight(spec, ell),
+            certificate_precision(spec, ell))
+
+
 def _shared_prefix(spec: QuotientSpec, primes: list[int]) -> TruncatedSeries | None:
     # the first FIRST_WINDOW terms of the quotient modulo the product M of the
-    # primes it certifies; reducing mod ell | M is a ring map and every
+    # primes it certifies (a weight); reducing mod ell | M is a ring map and every
     # constant term is 1, so the reduction equals the expansion mod ell
-    modulus = math.prod(ell for ell in primes if ell >= 5 and admits_lift(spec, ell))
+    modulus = math.prod(ell for ell in primes if _before_scan(spec, ell)[2] is not None)
     return quotient_series(spec, modulus, FIRST_WINDOW) if modulus > 1 else None
 
 
 def _scan(
     spec: QuotientSpec, prefix: TruncatedSeries | None, ell: int
 ) -> tuple[CongruenceReport, int]:
-    # scan_prime's analysis and log line, from the first FIRST_WINDOW terms of
-    # the quotient modulo a multiple of ell (None where ell is not certified);
-    # returns the report and how many terms of the quotient it read
+    # scan_prime's analysis and log line, from `_before_scan` and FIRST_WINDOW
+    # terms of the quotient modulo a multiple of ell (None where ell is not
+    # certified); returns the report and the terms of the quotient it read
     start = time.perf_counter()
+    method, residues, weight, precision = _before_scan(spec, ell)
     window = 0
-    if ell in (2, 3):
-        report = CongruenceReport(spec, ell, METHOD_TRIVIAL_PRIME, tuple(range(1, ell)))
-    elif not admits_lift(spec, ell):
-        report = CongruenceReport(spec, ell, METHOD_BELOW_BOUND, ())
-    else:
-        precision = certificate_precision(spec, ell)
-        weight = lift_weight(spec, ell)
+    if weight is not None:
         # a prefix at least as long as the whole window always decides
         window = min(FIRST_WINDOW, precision)
         try:
-            theta_kills, residues = congruence_scan(prefix.change_modulus(ell), ell, weight)
+            theta_kills, found = congruence_scan(prefix.change_modulus(ell), ell, weight)
         except PrecisionError:
             # an undecided prefix: the whole window covers the Sturm range and decides
             window = precision
-            theta_kills, residues = congruence_scan(
-                quotient_series(spec, ell, window), ell, weight
-            )
-        method = METHOD_RIGOROUS
+            series = quotient_series(spec, ell, window)
+            theta_kills, found = congruence_scan(series, ell, weight)
         if theta_kills:
             if not theta_vanishes(spec, ell):
                 raise PrecisionError(
@@ -173,11 +179,12 @@ def _scan(
                     f"theta image vanishes through precision at ell={ell} but the "
                     "coefficient system forbids it"
                 )
-            method, residues = METHOD_THETA_VANISHING, tuple(range(1, ell))
-        report = CongruenceReport(spec, ell, method, residues, weight, precision)
+        else:
+            method, residues = METHOD_RIGOROUS, found
+    report = CongruenceReport(spec, ell, method, tuple(residues), weight, precision)
     log.info(
         "scan mod %d: %s, precision %s, window %d, %.4f s",
-        ell, report.method, report.precision, window, time.perf_counter() - start,
+        ell, method, precision, window, time.perf_counter() - start,
     )
     return report, window
 
@@ -201,24 +208,18 @@ def _has_type(value, kind) -> bool:
 
 
 def _sweep_could_write(record: dict, spec: QuotientSpec) -> bool:
-    # residues strictly increasing within 1..ell-1, and all that `_scan`
-    # decides for the quotient without a scan: the method by the prime, every
-    # residue at a trivial or theta-killed prime and none below the size
-    # bound, and the weight and precision of a certified prime.  A record
-    # that passes is plausible, not authenticated
-    ell, method, residues = record["ell"], record["method"], record["residues"]
-    if not all(a < b for a, b in zip([0, *residues], [*residues, ell])):
+    # residues strictly increasing within 1..ell-1, so equal to a range just when
+    # as many, and `_before_scan`'s fields but for a certified prime's `rigorous`
+    # residues.  A record that passes is plausible, not authenticated
+    ell, residues = record["ell"], record["residues"]
+    before = _before_scan(spec, ell)
+    if before is None or not all(a < b for a, b in zip([0, *residues], [*residues, ell])):
         return False
-    every = len(residues) == ell - 1
-    unsized = record["weight"] is None and record["precision"] is None
-    if ell < 5:
-        return ell in (2, 3) and method == METHOD_TRIVIAL_PRIME and every and unsized
-    if not admits_lift(spec, ell):
-        return method == METHOD_BELOW_BOUND and not residues and unsized
-    sized = (record["weight"], record["precision"]) == (
-        lift_weight(spec, ell), certificate_precision(spec, ell)
-    )
-    return sized and (method == METHOD_RIGOROUS or (method == METHOD_THETA_VANISHING and every))
+    method, every, weight, precision = before
+    if (record["weight"], record["precision"]) != (weight, precision):
+        return False
+    scanned = weight is not None and record["method"] == METHOD_RIGOROUS
+    return scanned or (record["method"], len(residues)) == (method, len(every))
 
 
 def record_to_report(record: dict) -> CongruenceReport:
@@ -275,9 +276,8 @@ class ResultsCache:
     misses a field or its type in `RECORD_FIELDS` is skipped with a
     warning, and so is a record of the current version and quotient that
     no sweep writes: residues not strictly increasing within 1..ell-1, or
-    a method, residues, weight or precision other than `scan_prime`
-    decides for the prime without a scan.  Bumping the version
-    invalidates all earlier lines.
+    fields other than `_before_scan`'s, but for a certified prime's
+    `rigorous` residues.  Bumping the version invalidates all earlier lines.
     """
 
     def __init__(self, directory: str | os.PathLike):

@@ -1,7 +1,9 @@
 import itertools
 import json
 import logging
+import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from eiscong.eisenstein import (
     replacement_lift,
 )
 from eiscong.filtration import _lift_polynomial
+from eiscong.primes import is_prime
 from eiscong.scanner import (
     BERNDT_YEE_TABLE,
     CounterexampleError,
@@ -232,6 +235,23 @@ def test_an_undecided_prefix_expands_the_whole_window_once(monkeypatch, caplog):
     assert f", window {precision}, " in caplog.records[-1].getMessage()
 
 
+def test_the_shared_prefix_is_taken_modulo_exactly_the_certified_primes(monkeypatch):
+    # E6/E4^12 has a lift from 13 on: the primes 13 to 127 below the bound 129
+    # and the sample 131, 137 and 139 are certified, and 5, 7 and 11 are not
+    requested = []
+    expand = scanner.quotient_series
+
+    def recording(spec, modulus, terms):
+        requested.append((modulus, terms))
+        return expand(spec, modulus, terms)
+
+    monkeypatch.setattr(scanner, "quotient_series", recording)
+    verify_theorem(QuotientSpec(0, -12, 1))
+    certified = [p for p in range(13, 140) if is_prime(p)]
+    assert requested[0] == (math.prod(certified), scanner.FIRST_WINDOW)
+    assert all(modulus in certified for modulus, _ in requested[1:])
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -417,32 +437,44 @@ def test_a_damaged_record_is_skipped_and_its_prime_scanned_afresh(
 
 
 def test_every_record_a_scan_writes_is_served(tmp_path, caplog):
-    # trivial, below-bound, certified and theta-killed primes
-    reports = [scan_prime(QuotientSpec(0, -12, 1), ell) for ell in (2, 3, 5, 11, 13, 17)]
-    reports.append(scan_prime(QuotientSpec(0, 1, 1), 11))
-    assert {rep.method for rep in reports} == {
-        METHOD_TRIVIAL_PRIME, METHOD_BELOW_BOUND, METHOD_RIGOROUS, METHOD_THETA_VANISHING
+    # trivial, below-bound, certified and theta-killed primes: every prime to
+    # 31 of the box r <= 2, -8 <= s, t <= 4, and of E6/E4^12
+    primes = [p for p in range(2, 32) if is_prime(p)]
+    box = [QuotientSpec(*e) for e in itertools.product(range(3), range(-8, 5), range(-8, 5))]
+    reports = [scan_prime(spec, ell) for spec in box for ell in primes]
+    assert len(reports) == 5577
+    assert Counter(rep.method for rep in reports) == {
+        METHOD_TRIVIAL_PRIME: 1014, METHOD_BELOW_BOUND: 282, METHOD_THETA_VANISHING: 145,
+        METHOD_RIGOROUS: 4136,
     }
+    assert sum(rep.method == METHOD_RIGOROUS and rep.residues != () for rep in reports) == 142
+    reports += [scan_prime(QuotientSpec(0, -12, 1), ell) for ell in primes]
     cache = ResultsCache(tmp_path)
     cache.directory.mkdir(parents=True, exist_ok=True)
     for rep in reports:
         with open(cache.path_for(rep.spec), "a", encoding="utf-8") as fh:
             fh.write(json.dumps(report_to_record(rep, 0)) + "\n")
     with caplog.at_level(logging.WARNING, logger="eiscong.scanner"):
-        assert [cache.get(rep.spec, rep.ell) for rep in reports] == reports
+        served = {spec: cache.load(spec) for spec in {rep.spec for rep in reports}}
+    assert [served[rep.spec][rep.ell] for rep in reports] == reports
+    assert sum(map(len, served.values())) == len(reports)
     assert caplog.records == []
 
 
 @pytest.mark.parametrize(
     "fields",
     [{"method": METHOD_THETA_VANISHING, "residues": [1, 2]}, {"method": METHOD_BELOW_BOUND},
-     {"precision": 8}, {"weight": None, "precision": None}],
+     {"precision": 8}, {"weight": None, "precision": None},
+     {"ell": 10**12, "method": METHOD_RIGOROUS, "residues": []},
+     {"ell": 10**12, "method": METHOD_THETA_VANISHING, "residues": []}],
     ids=["theta-vanishing-two-residues", "below-bound-with-a-lift", "precision-one-high",
-         "unsized"],
+         "unsized", "rigorous-at-a-huge-ell", "theta-vanishing-at-a-huge-ell"],
 )
 def test_an_impossible_record_warns_only_at_the_current_version(tmp_path, caplog, fields):
     # the weight and precision rule applies to current records only: a file
-    # of an older version, whose precisions were one higher, stays quiet
+    # of an older version, whose precisions were one higher, stays quiet.  At
+    # ell = 10^12 the weight and precision differ, and listing 1..ell-1 to
+    # compare the residues would take terabytes
     spec = QuotientSpec(0, 1, 1)
     cache = ResultsCache(tmp_path)
     record = {**report_to_record(scan_prime(spec, 5), bound=19), **fields}
@@ -459,6 +491,35 @@ def test_an_impossible_record_warns_only_at_the_current_version(tmp_path, caplog
     with caplog.at_level(logging.WARNING, logger="eiscong.scanner"):
         assert cache.get(spec, 5) is None
     assert caplog.records == []
+
+
+@pytest.mark.parametrize(
+    "spec, ell", [(QuotientSpec(0, 1, 1), 4), (QuotientSpec(0, 1, 1), 1),
+                  (QuotientSpec(10, 20, 20), -19)],
+    ids=["four", "one", "negative"],
+)
+def test_a_record_at_an_ell_that_is_no_prime_is_impossible(tmp_path, caplog, spec, ell):
+    # the lift's weight and window exist at 4 and 1, so a rigorous record
+    # there matches them; at -19 the weight is negative and the window raises
+    weight = lift_weight(spec, ell)
+    if weight >= 0:
+        precision = certificate_precision(spec, ell)
+    else:
+        precision = None
+        with pytest.raises(ValueError):
+            certificate_precision(spec, ell)
+    record = {**report_to_record(scan_prime(spec, 5), bound=0), "ell": ell,
+              "method": METHOD_RIGOROUS, "residues": [], "weight": weight,
+              "precision": precision}
+    cache = ResultsCache(tmp_path)
+    cache.directory.mkdir(parents=True, exist_ok=True)
+    path = cache.path_for(spec)
+    path.write_text(json.dumps(record) + "\n")
+    with caplog.at_level(logging.WARNING, logger="eiscong.scanner"):
+        assert cache.load(spec) == {}
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping impossible record at {path}:1"
+    ]
 
 
 def test_cache_version_bump_invalidates(tmp_path):
