@@ -5,14 +5,17 @@ F_ell at its tagged weight, in the monomial basis E4^a E6^b.  The
 replacement lift E2^a E4^b E6^c (`eisenstein.lift_exponents`) has a
 closed form, B~^a Q^b R^c (`_lift_polynomial`), and so has A~ below
 (`compute_a_tilde`); the commands start from these.  A form given only
-as a q-series is written by one solve (`represent`): q-expansions are
-matched through the level one bound floor(k/12), and two reductions of
-weight-k forms that agree on a(0), ..., a(floor(k/12)) agree
-identically, so the polynomial is a finite certificate.  Everything
-after that is polynomial arithmetic.  By Swinnerton-Dyer
-(LNM 350, 1973) the filtration is below k exactly when A~ divides F,
-where A~ is the weight ell - 1 polynomial with value 1; each exact
-division lowers the weight by ell - 1.  Theta acts on polynomials by
+as a q-series is read off its expansion (`represent`): the basis
+E4^a E6^b of a weight is triangular in q once rewritten in
+z = 1 - E6^2/E4^3, so each coefficient is read in turn, with no linear
+solve.  q-expansions are matched through the level one bound
+floor(k/12), and two reductions of weight-k forms that agree on a(0),
+..., a(floor(k/12)) agree identically, so the polynomial is a finite
+certificate.  Everything after that is polynomial arithmetic.  By
+Swinnerton-Dyer (LNM 350, 1973) the filtration is below k exactly when
+A~ divides F, where A~ is the weight ell - 1 polynomial with value 1;
+each exact division lowers the weight by ell - 1.  Theta acts on
+polynomials by
 
     12 theta(F) = k B~ F - A~ D(F),  D = 4R d/dQ + 6Q^2 d/dR,
 
@@ -44,7 +47,6 @@ from operator import mul
 from typing import Sequence
 
 from .eisenstein import QuotientSpec, eisenstein_power_product, lift_exponents, require_lift
-from .linalg import solve_mod_prime
 from .primes import require_prime
 from .series import PrecisionError, TruncatedSeries, _convolve
 
@@ -86,7 +88,8 @@ def monomial_basis(
     These expansions are a basis of the reductions of weight-`weight`
     forms.  On the dense layout entry j is entry 0 times x^j, with
     x = E6^2 / E4^3; every factor has constant term 1, so each entry is
-    exact mod ell.  Cached; all values are immutable.
+    exact mod ell.  Cached; all values are immutable.  `represent` does
+    not read it; the tests compare with it.
     """
     pairs = monomial_exponents(weight)
     if not pairs:
@@ -232,14 +235,22 @@ class IsobaricPolynomial:
 def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None:
     """Write the form as a weight-`weight` polynomial in E4, E6 mod ell, if possible.
 
-    Returns None when the linear system is inconsistent, which certifies
-    that no weight-`weight` form is congruent to the given one.  The
-    requested weight must agree with the form's weight mod ell - 1, and
-    the form must carry enough precision for the larger of the two
-    weights; both are hard preconditions.
+    On the weight's dense layout (a0, b0, L) the polynomial is
+    E4^a0 E6^b0 f(x), x = E6^2/E4^3, with f of degree below L.  Writing
+    f(1 - z) = sum e_m z^m turns the basis triangular: z = 1 - x =
+    1728 Delta / E4^3 has valuation 1 and leading coefficient 1728, a
+    unit mod ell >= 5.  So with G = F / (E4^a0 E6^b0), e_m is the
+    constant term of (G - e_0 - ... - e_(m-1) z^(m-1)) / z^m, one
+    division by z per step, and Horner in 1 - x gives f's coefficients.
+    Everything is matched through the Sturm index s of the larger
+    weight.  Returns None when what is left after L steps is nonzero
+    through s, which certifies that no weight-`weight` form is congruent
+    to the given one.  The requested weight must agree with the form's
+    weight mod ell - 1, and the form must carry enough precision for the
+    larger of the two weights; both are hard preconditions.
     """
     ell = form.prime
-    dense_layout(weight)  # the weight is even and nonnegative
+    a0, b0, length = dense_layout(weight)
     if (form.weight - weight) % (ell - 1):
         raise ValueError(
             f"weight {weight} is not congruent to {form.weight} mod {ell - 1}"
@@ -250,13 +261,27 @@ def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None
             f"representing a weight-{form.weight} form at weight {weight} "
             f"needs precision {s + 1}, have {form.precision}"
         )
-    basis = monomial_basis(weight, ell, s + 1)
-    matrix = [[series.coefficient(n) for _, series in basis] for n in range(s + 1)]
-    rhs = [form.series.coefficient(n) for n in range(s + 1)]
-    sol = solve_mod_prime(matrix, rhs, ell)
-    if sol is None:
+    g = form.series.mul(eisenstein_power_product(0, a0, b0, ell, s + 1).invert())
+    h = [g.coefficient(n) for n in range(s + 1)]
+    # w = q / z = q E4^3 / (E4^3 - E6^2), through q^s: one term more of each
+    # factor keeps it nonempty at s = 0
+    cube = eisenstein_power_product(0, 3, 0, ell, s + 2)
+    square = eisenstein_power_product(0, 0, 2, ell, s + 2)
+    delta = [(u - v) % ell for u, v in zip(cube.coeffs[1:], square.coeffs[1:])]
+    w = cube.mul(TruncatedSeries._of_residues(ell, delta).invert()).coeffs
+    e = []
+    for _ in range(length):
+        # h is (G - e_0 - ... - e_(m-1) z^(m-1)) / z^m through q^(s-m)
+        e.append(h[0])
+        h = _convolve(h[1:], w, ell, len(h) - 1)
+    if any(h):
         return None
-    return IsobaricPolynomial._of_residues(ell, weight, tuple(sol))
+    coeffs = []
+    for em in reversed(e):
+        # Horner in 1 - x: coeffs <- coeffs * (1 - x) + e_m
+        coeffs = [(u - v) % ell for u, v in zip([*coeffs, 0], [0, *coeffs])]
+        coeffs[0] = (coeffs[0] + em) % ell
+    return IsobaricPolynomial._of_residues(ell, weight, tuple(coeffs))
 
 
 def dense_product(
@@ -289,10 +314,10 @@ def filtration_polynomial(
 ) -> tuple[IsobaricPolynomial, int]:
     """The form's polynomial at its filtration, and the divisions by A~ that reached it.
 
-    A form given as a q-series is written at its tagged weight by one
-    solve; a polynomial is taken as it is.  The quotient by the highest
-    power of A~ dividing that polynomial sits at the least weight of a
-    congruent form.  Undefined for the zero reduction, that is the zero
+    A form given as a q-series is read off its expansion at its tagged
+    weight (`represent`); a polynomial is taken as it is.  The quotient
+    by the highest power of A~ dividing that polynomial sits at the least
+    weight of a congruent form.  Undefined for the zero reduction, that is the zero
     polynomial: the basis is independent mod ell >= 5.
     """
     poly = represent(form, form.weight) if isinstance(form, ModularFormModEll) else form
@@ -310,8 +335,8 @@ def filtration_polynomial(
 def filtration(form: ModularFormModEll | IsobaricPolynomial) -> int:
     """The least weight of a modular form congruent to the given reduction.
 
-    Takes the form's polynomial at its tagged weight (one solve for a
-    q-series) and divides it by A~ while it divides exactly
+    Takes the form's polynomial at its tagged weight (read off the
+    expansion of a q-series) and divides it by A~ while it divides exactly
     (Swinnerton-Dyer); each division lowers the weight by ell - 1.
     Undefined for the zero reduction.
     """

@@ -32,7 +32,7 @@ from .eisenstein import (
     require_lift,
 )
 from .filtration import sturm
-from .primes import is_prime, require_prime
+from .primes import PSI_12, is_prime, require_prime
 from .series import PrecisionError, TruncatedSeries
 from .tate import (
     METHOD_BELOW_BOUND,
@@ -91,8 +91,9 @@ def certificate_precision(spec: QuotientSpec, ell: int) -> int:
 def profile_precision(spec: QuotientSpec, ell: int) -> int:
     """Series length needed to profile the full Tate cycle of the lift.
 
-    The cycle reads the lift only through its one solve at the lift
-    weight; every later step is polynomial arithmetic.
+    The cycle reads the lift only once, when `represent` reads its
+    polynomial off the first sturm(k) + 1 terms at the lift weight k;
+    every later step is polynomial arithmetic.
     """
     require_lift(spec, ell)
     return sturm(lift_weight(spec, ell)) + 1
@@ -208,14 +209,16 @@ def _has_type(value, kind) -> bool:
 
 
 def _sweep_could_write(record: dict, spec: QuotientSpec) -> bool:
+    # a prime below PSI_12 (no sweep decides one above, where is_prime raises),
     # residues strictly increasing within 1..ell-1, so equal to a range just when
     # as many, and `_before_scan`'s fields but for a certified prime's `rigorous`
     # residues.  A record that passes is plausible, not authenticated
     ell, residues = record["ell"], record["residues"]
-    before = _before_scan(spec, ell)
-    if before is None or not all(a < b for a, b in zip([0, *residues], [*residues, ell])):
+    if not (ell < PSI_12 and is_prime(ell)):
         return False
-    method, every, weight, precision = before
+    if not all(a < b for a, b in zip([0, *residues], [*residues, ell])):
+        return False
+    method, every, weight, precision = _before_scan(spec, ell)
     if (record["weight"], record["precision"]) != (weight, precision):
         return False
     scanned = weight is not None and record["method"] == METHOD_RIGOROUS
@@ -275,9 +278,10 @@ class ResultsCache:
     the latest record for a key; a line that is not UTF-8, not JSON, or
     misses a field or its type in `RECORD_FIELDS` is skipped with a
     warning, and so is a record of the current version and quotient that
-    no sweep writes: residues not strictly increasing within 1..ell-1, or
-    fields other than `_before_scan`'s, but for a certified prime's
-    `rigorous` residues.  Bumping the version invalidates all earlier lines.
+    no sweep writes: an ell that is no prime (or not below `PSI_12`),
+    residues not strictly increasing within 1..ell-1, or fields other
+    than `_before_scan`'s, but for a certified prime's `rigorous`
+    residues.  Bumping the version invalidates all earlier lines.
     """
 
     def __init__(self, directory: str | os.PathLike):

@@ -15,10 +15,11 @@ by the first few coefficients.
 Tate cycles (Jochnowitz 1982) are profiled on polynomials in Q, R over
 F_ell (`IsobaricPolynomial`).  The cycle starts from the form's
 polynomial at its tagged weight: the command line builds the lift's
-polynomial in closed form, and only a form given as a q-series takes one
-solve.  From there each step is `theta().strip_a_tilde()`, whose weight
-is the filtration of the iterate, and the Fermat closure is an equality
-of polynomials; see `eiscong.filtration`.
+polynomial in closed form, and only a form given as a q-series is read
+off its expansion (`represent`).  From there each step is
+`theta().strip_a_tilde()`, whose weight is the filtration of the
+iterate, and the Fermat closure is an equality of polynomials; see
+`eiscong.filtration`.
 """
 
 from __future__ import annotations
@@ -103,16 +104,16 @@ def tate_cycle(
     """Profile the full cycle of theta iterates of the form.
 
     The cycle starts from the form's polynomial in Q, R over F_ell, taken
-    as given or, for a q-series, written by one solve; theta then acts on
+    as given or, for a q-series, read off its expansion; theta then acts on
     polynomials, and each iterate is divided by A~ while it divides
     exactly, which leaves it at its filtration.  The iterate
     after a filtration divisible by ell must drop by a positive multiple
     of ell - 1, every other step must rise by exactly ell + 1, and the
     cycle closes up by Fermat (theta^ell and theta reduce to the same
     polynomial).  All three facts are re-verified and a violation
-    raises, since it can only mean a bug.  The solve for a q-series reads
-    the first floor(k/12) + 1 coefficients of the weight-k form, and
-    fewer raise `PrecisionError`.
+    raises, since it can only mean a bug.  A q-series is read through
+    its first floor(k/12) + 1 coefficients at its weight k, and fewer
+    raise `PrecisionError`.
     """
     ell = form.prime
     require_cycle_cap(ell, cap)
@@ -211,27 +212,24 @@ def congruence_scan(
     """
     terms = certificate_terms(weight, ell)
     s0 = sturm(weight + ell + 1)
-    is_square = [False] * ell
-    for x in range(1, ell):
-        is_square[x * x % ell] = True
+    half = (ell - 1) // 2
     theta_kills = True
-    # quadratic classes (is_square of the residue) holding a nonzero a(n)
+    # quadratic classes holding a nonzero a(n), by Euler's criterion: n^half
+    # is 1 on the squares mod ell and ell - 1 on the rest
     occupied = set()
     head = series.coeffs[: max(terms - series.valuation, 0)]
     for n, a in enumerate(head, start=series.valuation):
         if a and n % ell:
             theta_kills = theta_kills and n > s0
-            occupied.add(is_square[n % ell])
+            occupied.add(pow(n, half, ell))
             if len(occupied) == 2:
-                break
-    else:
-        if series.precision < terms:
-            raise PrecisionError(
-                f"the congruence certificate at ell={ell} needs precision {terms}, "
-                f"have {series.precision}, and the window does not decide it"
-            )
-    residues = tuple(c for c in range(1, ell) if is_square[c] not in occupied)
-    return theta_kills, residues
+                return theta_kills, ()
+    if series.precision < terms:
+        raise PrecisionError(
+            f"the congruence certificate at ell={ell} needs precision {terms}, "
+            f"have {series.precision}, and the window does not decide it"
+        )
+    return theta_kills, tuple(c for c in range(1, ell) if pow(c, half, ell) not in occupied)
 
 
 def certified_residues(form: ModularFormModEll) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shlex
@@ -112,7 +113,7 @@ def count_calls(monkeypatch, targets):
     """Wrap each (module, name) wherever an eiscong module binds it; returns the counts."""
     calls = {}
     for module_name, name in targets:
-        original = getattr(sys.modules[module_name], name)
+        original = getattr(importlib.import_module(module_name), name)
         calls[name] = 0
 
         def wrapper(*args, _name=name, _original=original, **kwargs):

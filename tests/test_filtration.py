@@ -6,6 +6,7 @@ from eiscong.eisenstein import (
     QuotientSpec,
     eisenstein_power_product,
     eisenstein_series,
+    lift_weight,
     replacement_lift,
 )
 from eiscong.filtration import (
@@ -55,7 +56,7 @@ def eis_product(a, b, c, ell, terms):
 
 
 # ---------------------------------------------------------------------------
-# linear solver
+# linear solver, the reference `represent_by_solve` runs on
 
 
 def check_solution(a, b, sol, p):
@@ -95,7 +96,8 @@ def shuffled(rng, a, b):
 
 
 def test_solver_solves_rank_deficient_square_systems():
-    # up to Tate size: a cycle of (0, -12, 1) at ell = 53 makes one 41 x 41 solve
+    # up to Tate size: `represent_by_solve` of the lift of (0, -12, 1) at ell = 53
+    # is one 41 x 41 solve
     rng = random.Random(12)
     for n, p in ((5, 5), (17, 13), (33, 101), (60, 53), (60, 2**61 - 1)):
         rank = rng.randrange(n)
@@ -212,6 +214,62 @@ def test_represent_round_trip_on_random_products():
             poly = represent(f, w)
             assert poly is not None
             assert evaluate(poly, terms).agrees_with(f.series)
+
+
+def represent_by_solve(form, weight):
+    """Reference `represent`: one solve on the monomial basis through the Sturm index."""
+    s = sturm(max(weight, form.weight))
+    basis = monomial_basis(weight, form.prime, s + 1)
+    matrix = [[series.coefficient(n) for _, series in basis] for n in range(s + 1)]
+    rhs = [form.series.coefficient(n) for n in range(s + 1)]
+    sol = solve_mod_prime(matrix, rhs, form.prime)
+    return None if sol is None else IsobaricPolynomial(form.prime, weight, tuple(sol))
+
+
+def representation_cases():
+    """(form, weight) pairs: criterion 5's products, seeded lifts, weights 0 and 2."""
+    for ell in (13, 17, 19, 23):
+        for a in range(3):
+            for b in range(3):
+                for c in range(3):
+                    if (a, b, c) != (0, 0, 0):
+                        form = eis_product(a, b, c, ell, 40)
+                        yield form, form.weight
+    rng = random.Random(26)
+    for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for _ in range(6):
+            spec = QuotientSpec(rng.randrange(3), rng.randrange(-ell, 6), rng.randrange(-ell, 6))
+            k = lift_weight(spec, ell)
+            form = replacement_lift(spec, ell, sturm(k + ell - 1) + 1)
+            for weight in (k, k + ell - 1, k - (ell - 1)):
+                if weight >= 0:
+                    yield form, weight
+        # a series that is no form: inconsistent above its first coefficients
+        junk = TruncatedSeries(ell, [rng.randrange(ell) for _ in range(ell)])
+        yield ModularFormModEll(ell, ell - 1, junk), ell - 1
+        yield ModularFormModEll(ell, ell - 1, TruncatedSeries.one(ell, 3)), 0
+        yield ModularFormModEll(ell, ell - 1, junk), 0
+        yield ModularFormModEll(ell, ell + 1, eisenstein_series(2, ell, 4)), 2
+        yield ModularFormModEll(ell, ell + 1, TruncatedSeries(ell, [0] * 4)), 2
+
+
+def test_represent_matches_the_solve_on_the_monomial_basis():
+    outcomes = []
+    for form, weight in representation_cases():
+        poly = represent(form, weight)
+        assert poly == represent_by_solve(form, weight), (form, weight)
+        outcomes.append(poly is None)
+    # both outcomes occur, and weight 2 gives the empty polynomial of the zero form
+    assert 0 < sum(outcomes) < len(outcomes)
+    zero = ModularFormModEll(7, 8, TruncatedSeries(7, [0] * 4))
+    assert represent(zero, 2) == IsobaricPolynomial(7, 2, ())
+
+
+def test_represent_matches_the_solve_at_a_large_prime():
+    spec = QuotientSpec(0, -12, 1)  # E6 / E4^12
+    form = replacement_lift(spec, 101, sturm(lift_weight(spec, 101)) + 1)
+    poly = represent(form, form.weight)
+    assert poly is not None and poly == represent_by_solve(form, form.weight)
 
 
 # ---------------------------------------------------------------------------

@@ -495,12 +495,14 @@ def test_an_impossible_record_warns_only_at_the_current_version(tmp_path, caplog
 
 @pytest.mark.parametrize(
     "spec, ell", [(QuotientSpec(0, 1, 1), 4), (QuotientSpec(0, 1, 1), 1),
-                  (QuotientSpec(10, 20, 20), -19)],
-    ids=["four", "one", "negative"],
+                  (QuotientSpec(10, 20, 20), -19), (QuotientSpec(0, 1, 1), 9),
+                  (QuotientSpec(0, 1, 1), 25), (QuotientSpec(0, 1, 1), 10**30)],
+    ids=["four", "one", "negative", "nine", "twenty-five", "ten-to-the-thirty"],
 )
 def test_a_record_at_an_ell_that_is_no_prime_is_impossible(tmp_path, caplog, spec, ell):
-    # the lift's weight and window exist at 4 and 1, so a rigorous record
-    # there matches them; at -19 the weight is negative and the window raises
+    # the lift's weight and window exist at 4, 1, 9 and 25, so a rigorous
+    # record there matches them; at -19 the weight is negative and the window
+    # raises; 10^30 is above PSI_12, where is_prime raises instead of deciding
     weight = lift_weight(spec, ell)
     if weight >= 0:
         precision = certificate_precision(spec, ell)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from sympy import primerange
@@ -21,6 +22,7 @@ from eiscong.tate import (
     METHOD_TRIVIAL_PRIME,
     THETA_WINDOW_DEFAULT,
     CongruenceReport,
+    certificate_terms,
     certified_residues,
     congruence_scan,
     heuristic_simple_congruences,
@@ -29,6 +31,7 @@ from eiscong.tate import (
     theta_vanishing_prime_candidates,
     theta_zero_congruences_hold,
 )
+from test_cli import count_calls
 
 
 def lifted_form(spec, ell, terms):
@@ -457,6 +460,68 @@ def test_an_undecided_prefix_raises():
     with pytest.raises(PrecisionError):
         congruence_scan(quotient_series(spec, 11, 16), 11, weight)
     assert congruence_scan(quotient_series(spec, 11, 18), 11, weight)[0] is True
+
+
+def table_congruence_scan(series, ell, weight):
+    """Reference `congruence_scan`: quadratic classes from a table of the squares mod ell."""
+    terms = certificate_terms(weight, ell)
+    is_square = [False] * ell
+    for x in range(1, ell):
+        is_square[x * x % ell] = True
+    theta_kills, occupied = True, set()
+    for n, a in enumerate(series.coeffs[: max(terms - series.valuation, 0)],
+                          start=series.valuation):
+        if a and n % ell:
+            theta_kills = theta_kills and n > sturm(weight + ell + 1)
+            occupied.add(is_square[n % ell])
+            if len(occupied) == 2:
+                break
+    else:
+        if series.precision < terms:
+            raise PrecisionError("undecided")
+    return theta_kills, tuple(c for c in range(1, ell) if is_square[c] not in occupied)
+
+
+def test_euler_criterion_scan_matches_the_table_of_squares():
+    rng = random.Random(14)
+    outcomes = []
+    for _ in range(600):
+        ell = rng.choice(list(primerange(5, 110)))
+        weight = 2 * rng.randrange(0, 150)
+        terms = certificate_terms(weight, ell)
+        length = rng.choice((terms // 3, terms - 1, terms, terms + 7))
+        valuation = rng.randrange(0, 4)
+        # nonzero a(n) that are sparse, confined to one class, or only at n = 0 mod ell
+        density = rng.choice((0.0, 0.02, 0.3))
+        keep = rng.choice((lambda n: True, lambda n: pow(n, (ell - 1) // 2, ell) == 1,
+                           lambda n: pow(n, (ell - 1) // 2, ell) == ell - 1,
+                           lambda n: n % ell == 0))
+        coeffs = [rng.randrange(1, ell) if rng.random() < density and keep(n) else 0
+                  for n in range(valuation, valuation + length)]
+        series = TruncatedSeries(ell, coeffs, valuation)
+        try:
+            expected = table_congruence_scan(series, ell, weight)
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                congruence_scan(series, ell, weight)
+            outcomes.append("undecided")
+            continue
+        assert congruence_scan(series, ell, weight) == expected, (ell, weight, series)
+        outcomes.append({0: "both held", ell - 1: "both vacant"}.get(
+            len(expected[1]), "one vacant"))
+    assert set(outcomes) == {"undecided", "both held", "one vacant", "both vacant"}
+
+
+def test_a_q_series_cycle_reads_its_polynomial_off_with_no_solve(monkeypatch):
+    calls = count_calls(monkeypatch, [
+        ("eiscong.filtration", "represent"),
+        ("eiscong.linalg", "solve_mod_prime"),
+        ("eiscong.filtration", "monomial_basis"),
+    ])
+    spec = QuotientSpec(0, -6, 2)
+    profile = tate_cycle(lifted_form(spec, 29, profile_precision(spec, 29)))
+    assert profile.prime == 29
+    assert calls == {"represent": 1, "solve_mod_prime": 0, "monomial_basis": 0}
 
 
 def test_primes_without_congruences_expand_sixteen_terms(monkeypatch):
