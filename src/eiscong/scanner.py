@@ -31,7 +31,7 @@ from .eisenstein import (
     quotient_series,
     require_lift,
 )
-from .filtration import sturm
+from .filtration import _lift_polynomial, sturm
 from .primes import PSI_12, is_prime, require_prime
 from .series import PrecisionError, TruncatedSeries
 from .tate import (
@@ -39,11 +39,9 @@ from .tate import (
     METHOD_RIGOROUS,
     METHOD_THETA_VANISHING,
     METHOD_TRIVIAL_PRIME,
-    THETA_WINDOW_DEFAULT,
     CongruenceReport,
     certificate_terms,
     congruence_scan,
-    theta_vanishes,
     theta_zero_congruences_hold,
 )
 
@@ -104,15 +102,16 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
 
     All that the prime decides before a coefficient is read is
     `_before_scan`'s.  Where that gives a weight, one coefficient scan
-    of the quotient decides theta vanishing and,
-    failing that, settles every nonzero residue by the finite
-    certificate for the lift.  The scan reads the quotient in place of
-    the lift: they differ by E2^(a-r) E4^(b-s) E6^(c-t), with (a, b, c)
-    the lift's exponents (`lift_exponents`), a unit series in q^ell mod
-    ell (at present (E4*E6)(q^ell)), which maps each residue class of
-    exponents to itself by a unitriangular transform, so a class
-    vanishes through any index on one side exactly when it does on the
-    other.
+    of the quotient settles every nonzero residue by the finite
+    certificate for the lift, and theta kills the lift exactly when the
+    scan returns all of them; that answer is checked exactly on the
+    lift's polynomial (`_lift_polynomial`), whose theta image must be
+    zero.  The scan reads the quotient in place of the lift: they differ
+    by E2^(a-r) E4^(b-s) E6^(c-t), with (a, b, c) the lift's exponents
+    (`lift_exponents`), a unit series in q^ell mod ell (at present
+    (E4*E6)(q^ell)), which maps each residue class of exponents to
+    itself by a unitriangular transform, so a class vanishes through
+    any index on one side exactly when it does on the other.
 
     The quotient is expanded mod ell to `FIRST_WINDOW` terms first, and
     to `certificate_precision` only when those leave the scan undecided.
@@ -163,25 +162,25 @@ def _scan(
         # a prefix at least as long as the whole window always decides
         window = min(FIRST_WINDOW, precision)
         try:
-            theta_kills, found = congruence_scan(prefix.change_modulus(ell), ell, weight)
+            found = congruence_scan(prefix.change_modulus(ell), ell, weight)
         except PrecisionError:
             # an undecided prefix: the whole window covers the Sturm range and decides
             window = precision
-            series = quotient_series(spec, ell, window)
-            theta_kills, found = congruence_scan(series, ell, weight)
-        if theta_kills:
-            if not theta_vanishes(spec, ell):
-                raise PrecisionError(
-                    f"theta-vanishing window {THETA_WINDOW_DEFAULT} disagrees with the "
-                    f"Sturm certificate at ell={ell}"
-                )
-            if ell >= 17 and not theta_zero_congruences_hold(spec, ell):
-                raise PrecisionError(
-                    f"theta image vanishes through precision at ell={ell} but the "
-                    "coefficient system forbids it"
-                )
-        else:
+            found = congruence_scan(quotient_series(spec, ell, window), ell, weight)
+        # every nonzero residue comes back exactly when theta kills the lift; the
+        # lift's polynomial and, from 17 on, the closed-form system must agree
+        if len(found) < ell - 1:
             method, residues = METHOD_RIGOROUS, found
+        elif any(_lift_polynomial(spec, ell).theta().coeffs):
+            raise PrecisionError(
+                f"the Sturm certificate finds theta kills the lift at ell={ell}, "
+                "but the theta image of its polynomial is nonzero"
+            )
+        elif ell >= 17 and not theta_zero_congruences_hold(spec, ell):
+            raise PrecisionError(
+                f"the Sturm certificate finds theta kills the lift at ell={ell}, "
+                "but the coefficient system forbids it"
+            )
     report = CongruenceReport(spec, ell, method, tuple(residues), weight, precision)
     log.info(
         "scan mod %d: %s, precision %s, window %d, %.4f s",

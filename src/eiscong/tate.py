@@ -2,15 +2,18 @@
 
 A series f = sum a(n) q^n has a simple congruence at c mod ell when
 a(ell*n + c) vanishes mod ell for every n.  For a genuine modular form
-of weight k with nonzero theta image this is decidable by a finite
-criterion: the congruence holds at c not divisible by ell exactly when
-applying theta (ell+1)/2 times gives -(c|ell) times the single theta
-image.  That identity multiplies a(n) by n*(n|ell) on the left, so it
-amounts to a(n) = 0 for every n prime to ell in the quadratic class of
-c, through the Sturm index floor((k + (ell+1)^2/2)/12): one scan of
-the coefficients, with no theta applied.  A nonzero a(n) in each class
-ends the scan early, so a prime without congruences is usually settled
-by the first few coefficients.
+of weight k this is decidable by a finite criterion: the congruence
+holds at c not divisible by ell exactly when applying theta
+(ell+1)/2 times gives -(c|ell) times the single theta image, which
+holds at every c when theta kills the form.  That identity multiplies
+a(n) by n*(n|ell) on the left, so it amounts to a(n) = 0 for every n
+prime to ell in the quadratic class of c, through the Sturm index
+floor((k + (ell+1)^2/2)/12): one scan of the coefficients, with no
+theta applied.  Both classes come back vacant exactly when theta kills
+the form, since the identity at a square and at a non-square c gives
+theta f = -theta f.  A nonzero a(n) in each class ends the scan early,
+so a prime without congruences is usually settled by the first few
+coefficients.
 
 Tate cycles (Jochnowitz 1982) are profiled on polynomials in Q, R over
 F_ell (`IsobaricPolynomial`).  The cycle starts from the form's
@@ -189,19 +192,16 @@ def certificate_terms(weight: int, ell: int) -> int:
     return sturm(weight + (ell + 1) ** 2 // 2) + 1
 
 
-def congruence_scan(
-    series: TruncatedSeries, ell: int, weight: int
-) -> tuple[bool, tuple[int, ...]]:
-    """Whether theta kills a weight-`weight` form mod ell, and its certified residues.
+def congruence_scan(series: TruncatedSeries, ell: int, weight: int) -> tuple[int, ...]:
+    """The certified residues of a weight-`weight` form mod ell, sorted.
 
     theta^((ell+1)/2) multiplies a(n) by n*(n|ell), so the identity
     theta^((ell+1)/2) f = -(c|ell) theta f in weight k + (ell+1)^2/2
     says that a(n) vanishes for every n prime to ell, through that
     weight's Sturm index, in the quadratic class of c.  One pass over
-    the coefficients decides both classes at once, and theta kills the
-    form when no such a(n) is nonzero through the Sturm index of
-    weight k + ell + 1.  The residues are meaningless when theta kills
-    the form.
+    the coefficients decides both classes at once.  All ell - 1 nonzero
+    residues come back exactly when theta kills the form: the identity
+    at a square and at a non-square c gives theta f = -theta f.
 
     The scan is decided once both classes hold a nonzero a(n), which
     proves that neither carries a congruence, or once the window covers
@@ -211,25 +211,22 @@ def congruence_scan(
     `PrecisionError`.
     """
     terms = certificate_terms(weight, ell)
-    s0 = sturm(weight + ell + 1)
     half = (ell - 1) // 2
-    theta_kills = True
     # quadratic classes holding a nonzero a(n), by Euler's criterion: n^half
     # is 1 on the squares mod ell and ell - 1 on the rest
     occupied = set()
     head = series.coeffs[: max(terms - series.valuation, 0)]
     for n, a in enumerate(head, start=series.valuation):
         if a and n % ell:
-            theta_kills = theta_kills and n > s0
             occupied.add(pow(n, half, ell))
             if len(occupied) == 2:
-                return theta_kills, ()
+                return ()
     if series.precision < terms:
         raise PrecisionError(
             f"the congruence certificate at ell={ell} needs precision {terms}, "
             f"have {series.precision}, and the window does not decide it"
         )
-    return theta_kills, tuple(c for c in range(1, ell) if pow(c, half, ell) not in occupied)
+    return tuple(c for c in range(1, ell) if pow(c, half, ell) not in occupied)
 
 
 def certified_residues(form: ModularFormModEll) -> tuple[int, ...]:
@@ -238,13 +235,12 @@ def certified_residues(form: ModularFormModEll) -> tuple[int, ...]:
     A series that ends before the certificate's Sturm index is enough
     when it holds a nonzero a(n), n prime to ell, in both quadratic
     classes (then there is none); otherwise it raises `PrecisionError`.
+    When every nonzero residue comes back, theta kills the form, and
+    that raises ValueError.
     """
-    theta_kills, residues = congruence_scan(form.series, form.prime, form.weight)
-    if theta_kills:
-        raise ValueError(
-            "theta kills this form; every nonzero residue carries a congruence "
-            "and the criterion does not apply"
-        )
+    residues = congruence_scan(form.series, form.prime, form.weight)
+    if len(residues) == form.prime - 1:
+        raise ValueError("theta kills this form; every nonzero residue carries a congruence")
     return residues
 
 

@@ -1,18 +1,21 @@
+import itertools
 import math
 import random
 
 import pytest
 from sympy import primerange
 
-from eiscong import scanner
+from eiscong import eisenstein, scanner
 from eiscong.eisenstein import (
     QuotientSpec,
+    admits_lift,
     eisenstein_series,
     lift_weight,
     quotient_series,
     replacement_lift,
 )
-from eiscong.filtration import ModularFormModEll, sturm
+from eiscong.filtration import IsobaricPolynomial, ModularFormModEll, _lift_polynomial, sturm
+from eiscong.primes import is_prime
 from eiscong.scanner import certificate_precision, profile_precision, scan_prime, theorem_bound
 from eiscong.series import PrecisionError, TruncatedSeries
 from eiscong.tate import (
@@ -341,10 +344,56 @@ def test_quotient_scan_matches_the_theta_ladder_on_the_lift(spec):
     assert mismatches == []
 
 
-def test_scan_keeps_the_window_guard_on_theta_vanishing(monkeypatch):
-    monkeypatch.setattr(scanner, "theta_vanishes", lambda spec, ell: False)
-    with pytest.raises(PrecisionError):
+def test_scan_keeps_the_polynomial_guard_on_theta_vanishing(monkeypatch):
+    # theta kills E4*E6 mod 11; a lift polynomial of E4, whose theta image is
+    # nonzero, must make the scan refuse
+    assert scan_prime(QuotientSpec(0, 1, 1), 11).method == METHOD_THETA_VANISHING
+    monkeypatch.setattr(
+        scanner, "_lift_polynomial", lambda spec, ell: IsobaricPolynomial(11, 4, (1,))
+    )
+    with pytest.raises(PrecisionError, match="theta image of its polynomial is nonzero"):
         scan_prime(QuotientSpec(0, 1, 1), 11)
+
+
+def test_a_theta_killed_scan_expands_no_more_than_the_certificate_window(monkeypatch):
+    # the theta-killed prime is checked on the lift's polynomial, not on a
+    # longer expansion: each expansion mod a prime stops at its certificate
+    # window, and the sweep's shared prefix at FIRST_WINDOW
+    spec = QuotientSpec(0, 1, 1)
+    lengths = []
+    original = eisenstein.eisenstein_power_product
+
+    def recording(r, s, t, modulus, terms):
+        lengths.append((modulus, terms))
+        return original(r, s, t, modulus, terms)
+
+    monkeypatch.setattr(eisenstein, "eisenstein_power_product", recording)
+    assert scan_prime(spec, 11).method == METHOD_THETA_VANISHING
+    result = scanner.verify_theorem(spec, use_remark=True)
+    assert METHOD_THETA_VANISHING in {rep.method for rep in result.reports}
+    assert lengths
+    for modulus, terms in lengths:
+        if is_prime(modulus):
+            assert terms <= certificate_precision(spec, modulus), (modulus, terms)
+        else:
+            assert terms <= scanner.FIRST_WINDOW, (modulus, terms)
+
+
+def test_theta_is_killed_exactly_where_the_lift_polynomial_says():
+    # the scan's rule, every nonzero residue certified, against theta of the
+    # lift's polynomial computed exactly
+    disagreements, killed = [], 0
+    for r, s, t in itertools.product(range(3), range(-6, 7), range(-6, 7)):
+        spec = QuotientSpec(r, s, t)
+        for ell in primerange(5, 40):
+            if not admits_lift(spec, ell):
+                continue
+            vanishes = not any(_lift_polynomial(spec, ell).theta().coeffs)
+            killed += vanishes
+            if (scan_prime(spec, ell).method == METHOD_THETA_VANISHING) != vanishes:
+                disagreements.append((spec, ell))
+    assert disagreements == []
+    assert killed > 100
 
 
 def test_scan_keeps_the_closed_form_guard_on_theta_vanishing(monkeypatch):
@@ -362,14 +411,19 @@ def test_scan_keeps_the_closed_form_guard_on_theta_vanishing(monkeypatch):
 
 
 def full_window_scan_prime(spec, ell):
-    """Reference scan_prime: one scan of the quotient at `certificate_precision`."""
+    """Reference scan_prime: one scan of the quotient at `certificate_precision`.
+
+    Theta kills the lift here when no a(n) with n prime to ell is nonzero
+    through sturm(k + ell + 1), a rule apart from the scan's, and a 500-term
+    window must agree.
+    """
     if ell in (2, 3):
         return CongruenceReport(spec, ell, METHOD_TRIVIAL_PRIME, tuple(range(1, ell)))
     if ell + spec.s < 0 or ell + spec.t < 0:
         return CongruenceReport(spec, ell, METHOD_BELOW_BOUND, ())
     precision = certificate_precision(spec, ell)
     weight = lift_weight(spec, ell)
-    theta_kills, residues = congruence_scan(
+    theta_kills, residues = table_congruence_scan(
         quotient_series(spec, ell, precision), ell, weight
     )
     if not theta_kills:
@@ -439,7 +493,7 @@ def test_a_deciding_prefix_gives_the_full_window_answer():
         full = congruence_scan(
             quotient_series(EXAMPLE, ell, certificate_precision(EXAMPLE, ell)), ell, weight
         )
-        assert full == (False, ())
+        assert full == ()
         assert congruence_scan(quotient_series(EXAMPLE, ell, 16), ell, weight) == full
 
 
@@ -453,17 +507,22 @@ def test_an_undecided_prefix_raises():
         with pytest.raises(PrecisionError):
             congruence_scan(quotient_series(spec, ell, terms), ell, weight)
     assert congruence_scan(quotient_series(spec, ell, 34), ell, weight) == (
-        False, (2, 3, 8, 10, 12, 13, 14, 15, 18),
+        2, 3, 8, 10, 12, 13, 14, 15, 18,
     )
     # theta kills E4*E6 mod 11: only the whole range decides that
     weight = lift_weight(spec, 11)
     with pytest.raises(PrecisionError):
         congruence_scan(quotient_series(spec, 11, 16), 11, weight)
-    assert congruence_scan(quotient_series(spec, 11, 18), 11, weight)[0] is True
+    assert congruence_scan(quotient_series(spec, 11, 18), 11, weight) == tuple(range(1, 11))
 
 
 def table_congruence_scan(series, ell, weight):
-    """Reference `congruence_scan`: quadratic classes from a table of the squares mod ell."""
+    """Reference scan: whether theta kills the form, and the certified residues.
+
+    The quadratic classes come from a table of the squares mod ell, and
+    theta kills the form when no a(n) with n prime to ell is nonzero
+    through sturm(weight + ell + 1).
+    """
     terms = certificate_terms(weight, ell)
     is_square = [False] * ell
     for x in range(1, ell):
@@ -506,9 +565,11 @@ def test_euler_criterion_scan_matches_the_table_of_squares():
                 congruence_scan(series, ell, weight)
             outcomes.append("undecided")
             continue
-        assert congruence_scan(series, ell, weight) == expected, (ell, weight, series)
+        # a random series is no form, so the reference's theta flag says nothing of it
+        residues = expected[1]
+        assert congruence_scan(series, ell, weight) == residues, (ell, weight, series)
         outcomes.append({0: "both held", ell - 1: "both vacant"}.get(
-            len(expected[1]), "one vacant"))
+            len(residues), "one vacant"))
     assert set(outcomes) == {"undecided", "both held", "one vacant", "both vacant"}
 
 
