@@ -127,14 +127,12 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     return _scan(spec, _shared_prefix(spec, [ell]), ell)[0]
 
 
-def _before_scan(spec: QuotientSpec, ell: int) -> tuple | None:
-    # what a scan at ell decides before reading a coefficient, as (method, residues
-    # as a range, weight, precision): the report at 2, 3 and where no lift exists,
-    # the theta-killed one at a certified prime; None at an ell no scan runs at
+def _before_scan(spec: QuotientSpec, ell: int) -> tuple:
+    # what a scan at the prime ell decides before reading a coefficient, as (method,
+    # residues as a range, weight, precision): the report at 2, 3 and where no lift
+    # exists, the theta-killed one at a certified prime
     if ell in (2, 3):
         return METHOD_TRIVIAL_PRIME, range(1, ell), None, None
-    if ell < 5:
-        return None
     if not admits_lift(spec, ell):
         return METHOD_BELOW_BOUND, range(0), None, None
     return (METHOD_THETA_VANISHING, range(1, ell), lift_weight(spec, ell),

@@ -175,11 +175,7 @@ class TruncatedSeries:
         m = self.modulus
         prec = min(self.precision, other.precision)
         v = min(self.valuation, other.valuation)
-        out = [0] * (prec - v)
-        for src in (self, other):
-            stop = min(src.precision, prec)
-            for n in range(src.valuation, stop):
-                out[n - v] = (out[n - v] + src.coeffs[n - src.valuation]) % m
+        out = [(self.coefficient(n) + other.coefficient(n)) % m for n in range(v, prec)]
         return TruncatedSeries._of_residues(m, out, v)
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":

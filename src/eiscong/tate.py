@@ -45,7 +45,7 @@ from .series import PrecisionError, TruncatedSeries
 
 log = logging.getLogger(__name__)
 
-#: default window for the quotient-side theta-vanishing check
+#: default window of `theta_vanishes`
 THETA_WINDOW_DEFAULT = 500
 
 #: primes that can never be excluded by the closed-form coefficient system
@@ -247,18 +247,12 @@ def certified_residues(form: ModularFormModEll) -> tuple[int, ...]:
 def heuristic_simple_congruences(series: TruncatedSeries, ell: int) -> frozenset[int]:
     """Residues whose entire known progression vanishes.  Window evidence only.
 
-    Every residue class c with a(step*n + c) = 0 for all exponents in
+    Every residue class c with a(ell*n + c) = 0 for all exponents in
     the known window is flagged; nothing is proved beyond the window.
     """
     if series.valuation < 0:
         raise ValueError("progression scanning expects a series without poles")
-    flagged = set(range(ell))
-    for n, c in enumerate(series.coeffs, start=series.valuation):
-        if c:
-            flagged.discard(n % ell)
-            if not flagged:
-                break
-    return frozenset(flagged)
+    return frozenset(c for c in range(ell) if series.extract_progression(c, ell).is_zero())
 
 
 def theta_vanishes(

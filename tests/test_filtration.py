@@ -124,6 +124,11 @@ def test_solver_handles_empty_column_space():
     assert solve_mod_prime([[], []], [0, 3], 5) is None
 
 
+def test_solver_rejects_a_ragged_matrix():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        solve_mod_prime([[1, 2], [3]], [0, 0], 5)
+
+
 def test_solver_with_large_prime_uses_exact_path():
     p = 2**61 - 1
     sol = solve_mod_prime([[2]], [1], p)
@@ -401,6 +406,7 @@ def test_isobaric_polynomial_rejects_the_states_sparse_terms_allowed():
     assert poly == IsobaricPolynomial(5, 12, (1, 1))
     assert poly.terms == ((3, 0, 1), (0, 2, 1))
     assert str(IsobaricPolynomial(5, 2, ())) == "0"
+    assert str(IsobaricPolynomial(5, 0, (3,))) == "3"
 
 
 def test_form_validation():
@@ -410,6 +416,8 @@ def test_form_validation():
         ModularFormModEll(7, 3, TruncatedSeries.one(7, 3))
     with pytest.raises(ValueError):
         ModularFormModEll(7, 4, TruncatedSeries.one(5, 3))
+    with pytest.raises(ValueError, match="no negative exponents"):
+        ModularFormModEll(7, 4, TruncatedSeries(7, [1, 1], valuation=-1))
 
 
 @pytest.mark.parametrize("modulus", [9, 25, 3])

@@ -4,9 +4,11 @@ import logging
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from sympy import isprime
 
 import eiscong.scanner as scanner
 from eiscong import __version__
@@ -251,6 +253,29 @@ def test_the_shared_prefix_is_taken_modulo_exactly_the_certified_primes(monkeypa
     assert all(modulus in certified for modulus, _ in requested[1:])
 
 
+def test_what_a_scan_decides_first_is_asked_only_at_primes(tmp_path, monkeypatch):
+    # `_before_scan` has no branch for an ell that is no prime: the sweep, its
+    # prefix, scan_prime and the record check only ask it at primes
+    asked = []
+    before = scanner._before_scan
+
+    def recording(spec, ell):
+        asked.append(ell)
+        return before(spec, ell)
+
+    monkeypatch.setattr(scanner, "_before_scan", recording)
+    verify_theorem(QuotientSpec(0, -12, 1))
+    spec = QuotientSpec(0, 1, 1)
+    records = [report_to_record(scan_prime(spec, ell), bound=19) for ell in (2, 3, 17)]
+    records += [{**records[2], "ell": ell} for ell in (1, 4, 9, -19)]
+    cache = ResultsCache(tmp_path)
+    cache.directory.mkdir(parents=True, exist_ok=True)
+    cache.path_for(spec).write_text("".join(json.dumps(record) + "\n" for record in records))
+    assert sorted(cache.load(spec)) == [2, 3, 17]
+    assert {2, 3, 17, 127, 131} <= set(asked)
+    assert all(isprime(ell) for ell in asked)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -309,6 +334,32 @@ def test_parallel_sweep_matches_serial():
     assert serial.to_records() == parallel.to_records()
 
 
+def test_a_residue_above_the_bound_is_a_counterexample(tmp_path, monkeypatch, capsys):
+    # the remark bound of E4*E6 is 19 and the one prime sampled above it is
+    # 23; a scan that reports residue 1 there refutes the theorem, and the
+    # sweep writes no record of it
+    scan = scanner._scan
+
+    def refuted(spec, prefix, ell):
+        report, window = scan(spec, prefix, ell)
+        if ell == 23:
+            report = replace(report, method=METHOD_RIGOROUS, residues=(1,))
+        return report, window
+
+    monkeypatch.setattr(scanner, "_scan", refuted)
+    cache = ResultsCache(tmp_path)
+    with pytest.raises(CounterexampleError, match=r"^prime 23 above the bound 19 reports "):
+        verify_theorem(QuotientSpec(0, 1, 1), use_remark=True, sample_above=1, cache=cache)
+    assert list(tmp_path.iterdir()) == []
+    argv = ["--results-dir", str(tmp_path), "verify-theorem", "--r", "0", "--s", "1",
+            "--t", "1", "--remark", "--sample-above", "1"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("counterexample: prime 23 above the bound 19 reports residues [1]")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # the published table
 
@@ -365,7 +416,8 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     cache = ResultsCache(tmp_path)
     path = cache.path_for(spec)
     good = report_to_record(scan_prime(spec, 5), bound=41)
-    path.write_text("this is not json\n" + json.dumps(good) + "\n" + '{"r": 2}\n')
+    # a blank line is no record and costs no warning
+    path.write_text("this is not json\n\n" + json.dumps(good) + "\n\n" + '{"r": 2}\n')
     with caplog.at_level(logging.WARNING):
         got = cache.get(spec, 5)
     assert got is not None

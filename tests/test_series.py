@@ -110,6 +110,19 @@ def test_add_requires_equal_moduli():
         TS(5, [1]) + TS(7, [1])
 
 
+def test_operators_take_only_series():
+    f = TS(7, [0, 1, 2])
+    with pytest.raises(TypeError):
+        f + 1
+    with pytest.raises(TypeError):
+        f * 2
+    assert f != 1 and not f == (0, 1, 2)
+    # equal series hash alike, whatever the leading zeros they were written with
+    g = TS(7, [1, 2], valuation=1)
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
+
+
 def test_add_precision_is_the_minimum():
     f = TS(5, [1, 1, 1, 1])
     g = TS(5, [1, 1])
@@ -376,6 +389,8 @@ def test_invert_e4_mod_9_kills_q2():
 def test_invert_requires_unit_constant():
     with pytest.raises(ValueError):
         TS(9, [3, 1]).invert()
+    with pytest.raises(ValueError, match="no known coefficients"):
+        TS(9, []).invert()
 
 
 def test_invert_requires_valuation_zero():
@@ -386,6 +401,8 @@ def test_invert_requires_valuation_zero():
 def test_pow_zero_is_one():
     f = TS(5, [2, 3, 1])
     assert f.pow(0) == TruncatedSeries.one(5, 3)
+    with pytest.raises(ValueError, match="at least one known term"):
+        TruncatedSeries.one(5, 0)
 
 
 def test_pow_precision_gains_the_valuation():
@@ -463,6 +480,8 @@ def test_extract_progression_of_zero():
 def test_extract_progression_validates_residue():
     with pytest.raises(ValueError):
         TS(5, [1, 2]).extract_progression(3, 2)
+    with pytest.raises(ValueError, match="step must be positive"):
+        TS(5, [1, 2]).extract_progression(0, 0)
 
 
 def test_change_modulus_reduces():
@@ -487,6 +506,10 @@ def test_str_forms():
     assert str(TS(7, [0, 0])) == "0"
     assert str(TS(7, [1, 2, 1])) == "1 + 2*q + q^2"
     assert str(TS(7, [3], valuation=-2)) == "3*q^-2"
+    assert repr(TS(7, [1, 2, 1])) == "TruncatedSeries(1 + 2*q + q^2 + O(q^3), mod 7)"
+    # a shown series is cut to 60 characters
+    long = TS(7, [1] * 30)
+    assert repr(long) == f"TruncatedSeries({str(long)[:57]}... + O(q^30), mod 7)"
 
 
 # ---------------------------------------------------------------------------

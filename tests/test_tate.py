@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from sympy import primerange
@@ -14,7 +15,13 @@ from eiscong.eisenstein import (
     quotient_series,
     replacement_lift,
 )
-from eiscong.filtration import IsobaricPolynomial, ModularFormModEll, _lift_polynomial, sturm
+from eiscong.filtration import (
+    IsobaricPolynomial,
+    ModularFormModEll,
+    _lift_polynomial,
+    dense_layout,
+    sturm,
+)
 from eiscong.primes import is_prime
 from eiscong.scanner import certificate_precision, profile_precision, scan_prime, theorem_bound
 from eiscong.series import PrecisionError, TruncatedSeries
@@ -105,6 +112,79 @@ def test_cycle_rejects_theta_killed_forms():
     form = lifted_form(spec, 5, profile_precision(spec, 5))
     with pytest.raises(ValueError):
         tate_cycle(form)
+
+
+def monomial_mod_5(weight, c=1):
+    """A nonzero polynomial of the weight mod 5: c times its first monomial."""
+    return IsobaricPolynomial(5, weight, (c,) + (0,) * (dense_layout(weight)[2] - 1))
+
+
+def scripted_cycle(monkeypatch, base, weights, closing=1):
+    """`tate_cycle` mod 5 from a polynomial of weight `base`, its iterates scripted.
+
+    `strip_a_tilde` is wrapped to return the base itself (the call that
+    finds the base filtration), then one polynomial per listed weight, and
+    then, as the closing step, the first iterate's monomial times `closing`.
+    """
+    first = monomial_mod_5(weights[0])
+    steps = iter([monomial_mod_5(base), first, *map(monomial_mod_5, weights[1:]),
+                  monomial_mod_5(weights[0], closing)])
+    monkeypatch.setattr(IsobaricPolynomial, "strip_a_tilde", lambda self: (next(steps), 0))
+    return tate_cycle(monomial_mod_5(base))
+
+
+def test_a_scripted_cycle_that_keeps_every_rule_is_profiled(monkeypatch):
+    # 14 rises to 20; 20 and 10 are high points, falling by 4 and 2 times ell - 1
+    profile = scripted_cycle(monkeypatch, 14, (20, 10, 8, 14))
+    assert (profile.base_filtration, profile.filtrations) == (14, (20, 10, 8, 14))
+    assert (profile.high_points, profile.low_points, profile.falls) == ((1, 2), (2, 3), (4, 2))
+
+
+@pytest.mark.parametrize(
+    "base, weights, closing, message",
+    [(14, (20, 10, 8, 14), 2, "theta iterates fail to close up after ell steps"),
+     (12, (20, 10, 8, 14), 1, r"first theta step must rise by ell \+ 1"),
+     (14, (20, 12, 8, 14), 1, "iterate 2 falls by 14, not a positive multiple of ell - 1"),
+     (14, (20, 10, 8, 16), 1, r"iterate 4 must rise by ell \+ 1 from a filtration prime")],
+    ids=["closure", "first-rise", "fall", "rise"],
+)
+def test_each_cycle_rule_raises_where_the_weights_break_it(
+    monkeypatch, base, weights, closing, message
+):
+    # each case changes the cycle above in one place: the closing step's
+    # coefficient, the base weight, the weight after a high point, the weight
+    # after a filtration prime to ell
+    with pytest.raises(RuntimeError, match=f"^{message}"):
+        scripted_cycle(monkeypatch, base, weights, closing)
+
+
+def test_the_rise_and_fall_rules_leave_one_or_two_low_points(monkeypatch):
+    # `tate_cycle`'s rise and fall checks force its two low-point checks.  The
+    # steps sum to zero round the cycle, so the falls, k_i (ell - 1) after the
+    # i-th high point, have k_1 + ... = ell + 1; and ell - k_i or more of the
+    # ell - 1 steps lead from the i-th high point to the next.  So there are
+    # one or two high points, and a single one falls by (ell + 1)(ell - 1) to
+    # a low point at 2 mod ell: the low-point checks cannot fire on their own.
+    # Every scripted cycle mod 5 whose first iterate is below 40 and whose
+    # steps change the weight by 6 - 4k, 0 <= k <= 6, obeys.
+
+    # the scripted strip discards theta's image, so theta need not compute one
+    monkeypatch.setattr(IsobaricPolynomial, "theta", lambda self: self)
+    profiles = []
+    for first, *ks in itertools.product(range(0, 40, 2), *[range(7)] * 3):
+        weights = [first]
+        for k in ks:
+            weights.append(weights[-1] + 6 - 4 * k)
+        if min(weights) < 0 or 2 in weights:
+            continue  # no polynomial has the weight
+        try:
+            profiles.append(scripted_cycle(monkeypatch, 0, weights))
+        except RuntimeError as exc:
+            assert "low point" not in str(exc)
+    assert Counter(len(profile.low_points) for profile in profiles) == {1: 9, 2: 19}
+    for profile in profiles:
+        if len(profile.low_points) == 1:
+            assert profile.filtrations[profile.low_points[0] - 1] % 5 == 2
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +287,28 @@ def test_heuristic_on_zero_series():
 def test_heuristic_rejects_poles():
     with pytest.raises(ValueError):
         heuristic_simple_congruences(TruncatedSeries(5, [1, 1], valuation=-1), 5)
+
+
+def test_heuristic_flags_exactly_the_classes_vanishing_on_the_window():
+    # brute force: c is flagged exactly when every a(n) of the window with
+    # n = c mod ell is 0, read one coefficient at a time
+    rng = random.Random(28)
+    short = zero = 0
+    for _ in range(3000):
+        ell = rng.choice((2, 3, 5, 7, 11, 13, 29))
+        modulus = rng.choice((2, 3, 7, 49, ell))
+        density = rng.choice((0.0, 0.05, 0.3, 1.0))
+        coeffs = [rng.randrange(modulus) if rng.random() < density else 0
+                  for _ in range(rng.randrange(3 * ell))]
+        series = TruncatedSeries(modulus, coeffs, valuation=rng.randrange(1, 8))
+        short += len(coeffs) < ell
+        zero += series.is_zero()
+        expected = {
+            c for c in range(ell)
+            if not any(series.coefficient(n) for n in range(c, series.precision, ell))
+        }
+        assert heuristic_simple_congruences(series, ell) == expected
+    assert short > 300 and zero > 300
 
 
 def test_theta_vanishes_examples():
