@@ -10,11 +10,14 @@ is ever computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import mul
 
 from .primes import require_prime
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _divide
 
 #: the exact integers -2k/B_k for k = 2, 4, 6
 WEIGHT_CONSTANTS = {2: -24, 4: 240, 6: -504}
@@ -22,13 +25,28 @@ WEIGHT_CONSTANTS = {2: -24, 4: 240, 6: -504}
 
 @lru_cache(maxsize=None)
 def _sigma_table(power: int, terms: int) -> tuple[int, ...]:
-    # sigma(power, n) for 1 <= n < terms; shared across moduli.  A divisor
-    # sieve, O(terms log terms) in all: each n starts at n^power, and each
-    # d < terms/2 adds d^power to its proper multiples
-    table = [n**power for n in range(terms)]
-    for d in range(1, (terms + 1) // 2):
-        d_power = d**power
-        table[2 * d :: d] = [x + d_power for x in table[2 * d :: d]]
+    """sigma_power(n) for 1 <= n < terms; shared across moduli.
+
+    A multiplicative sieve, O(terms log log terms) slice operations: with
+    the primes below terms marked in a bytearray, each prime p multiplies
+    sigma(p) = 1 + p^power into every multiple of p, and each higher
+    power p^e swaps sigma(p^(e-1)) for sigma(p^e) = sigma(p^(e-1)) * p^power + 1
+    in every multiple of p^e.  Every division is exact.
+    """
+    table = [1] * terms
+    prime = bytearray(b"\0\0" + b"\1" * (terms - 2))
+    for p in range(2, math.isqrt(terms) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, terms, p)))
+    for p in compress(range(terms), prime):
+        step = p**power
+        sigma = 1 + step
+        table[p::p] = map(mul, table[p::p], repeat(sigma))
+        q = p * p
+        while q < terms:
+            prev, sigma = sigma, sigma * step + 1
+            table[q::q] = [x // prev * sigma for x in table[q::q]]
+            q *= p
     return tuple(table[1:])
 
 
@@ -69,21 +87,28 @@ def eisenstein_power_product(
 ) -> TruncatedSeries:
     """E2^r * E4^s * E6^t mod modulus; exponents may be negative.
 
-    All constant terms are 1, so negative powers always invert cleanly,
-    including modulo prime powers.  Where the modulus divides the cube
-    of the gcd of C_k and the modulus (E4 mod 9 and 27, E6 mod 27, 49
-    and 243), E_k = 1 - u with u^3 = 0, and its inverse is the exact sum
-    1 + u + u^2 (see `TruncatedSeries.invert`); other moduli invert by
-    Newton iteration.  The product starts from the first
-    factor with a nonzero exponent; only E2^0 * E4^0 * E6^0 is the
-    constant one.
+    The factors with positive exponents multiply into a numerator, those
+    with negative ones into a denominator, and the quotient is one
+    division (`eiscong.series._divide`), which folds the product by the
+    inverse into Newton's last step.  All constant terms are 1, so the
+    denominator always inverts cleanly, including modulo prime powers.
+    Where the modulus divides the cube of the gcd of the modulus and the
+    denominator's coefficients from q^1 on (a power of E4 mod 9 and 27,
+    of E6 mod 27, 49 and 243), it is 1 - u with u^3 = 0, and the quotient
+    is the numerator times the exact sum 1 + u + u^2 (see
+    `TruncatedSeries.invert`).  Only E2^0 * E4^0 * E6^0 is the constant one.
     """
-    out = None
+    num = den = None
     for weight, exponent in ((2, r), (4, s), (6, t)):
         if exponent:
-            factor = eisenstein_series(weight, modulus, terms).pow(exponent)
-            out = factor if out is None else out.mul(factor)
-    return TruncatedSeries.one(modulus, terms) if out is None else out
+            factor = eisenstein_series(weight, modulus, terms).pow(abs(exponent))
+            if exponent > 0:
+                num = factor if num is None else num.mul(factor)
+            else:
+                den = factor if den is None else den.mul(factor)
+    if den is not None:
+        return den.invert() if num is None else _divide(num, den)
+    return TruncatedSeries.one(modulus, terms) if num is None else num
 
 
 def quotient_series(spec: QuotientSpec, modulus: int, terms: int) -> TruncatedSeries:

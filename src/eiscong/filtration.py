@@ -48,7 +48,7 @@ from typing import Sequence
 
 from .eisenstein import QuotientSpec, eisenstein_power_product, lift_exponents, require_lift
 from .primes import require_prime
-from .series import PrecisionError, TruncatedSeries, _convolve
+from .series import PrecisionError, TruncatedSeries, _convolve, _divide
 
 log = logging.getLogger(__name__)
 
@@ -261,14 +261,14 @@ def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None
             f"representing a weight-{form.weight} form at weight {weight} "
             f"needs precision {s + 1}, have {form.precision}"
         )
-    g = form.series.mul(eisenstein_power_product(0, a0, b0, ell, s + 1).invert())
+    g = _divide(form.series, eisenstein_power_product(0, a0, b0, ell, s + 1))
     h = [g.coefficient(n) for n in range(s + 1)]
     # w = q / z = q E4^3 / (E4^3 - E6^2), through q^s: one term more of each
     # factor keeps it nonempty at s = 0
     cube = eisenstein_power_product(0, 3, 0, ell, s + 2)
     square = eisenstein_power_product(0, 0, 2, ell, s + 2)
     delta = [(u - v) % ell for u, v in zip(cube.coeffs[1:], square.coeffs[1:])]
-    w = cube.mul(TruncatedSeries._of_residues(ell, delta).invert()).coeffs
+    w = _divide(cube, TruncatedSeries._of_residues(ell, delta)).coeffs
     e = []
     for _ in range(length):
         # h is (G - e_0 - ... - e_(m-1) z^(m-1)) / z^m through q^(s-m)

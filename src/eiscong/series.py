@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from itertools import repeat
 from typing import Iterable, Sequence
 
 #: array typecode of each slot width the machine has a C type for
@@ -82,9 +83,12 @@ def _convolve(
     ``array`` at the next C type, whose zero high bytes one byte slice
     per slot byte drops (and restores on the way back); wider ones go
     through ``int.to_bytes``.  Entries past ``terms`` cannot reach the
-    kept coefficients and are not packed.  The entries must be canonical
-    residues in [0, modulus), since a larger one could overflow its slot.
+    kept coefficients and are not packed.  A square (``a is b``) is packed
+    once and multiplied by itself, which CPython squares in fewer digit
+    products.  The entries must be canonical residues in [0, modulus),
+    since a larger one could overflow its slot.
     """
+    square = a is b
     if terms is not None:
         a, b = a[:terms], b[:terms]
     if not a or not b:
@@ -92,7 +96,8 @@ def _convolve(
     width = _slot_width(min(len(a), len(b)), modulus)
     full = len(a) + len(b) - 1
     keep = full if terms is None else min(terms, full)
-    product = _pack(a, width) * _pack(b, width)
+    packed = _pack(a, width)
+    product = packed * packed if square else packed * _pack(b, width)
     data = product.to_bytes(full * width, sys.byteorder)[: keep * width]
     return _unpack(data, width, modulus)
 
@@ -198,46 +203,14 @@ class TruncatedSeries:
         zero when that is 1 (1/E6 mod 27 and mod 49 are 2 - E6), and one
         short product over that small modulus otherwise (1/E6 mod 243).
 
-        Every other series takes Newton's loop.  Each step doubles the
-        known length h of the inverse g to k.  As f*g = 1 + O(q^h), the
-        product's terms h..k-1 are the whole error e, and g - q^h*g*e is
-        the inverse mod q^k: the step appends -(g*e) mod q^(k-h) to g, a
-        half-length product.  Both paths give the unique inverse on the
-        window.  Requires valuation 0 and a unit constant term (in this
-        package the constant term is always 1).
+        Every other series takes Newton's iteration (`_newton`) along the
+        chain n, ceil(n/2), ceil(n/4), ..., 1 of window lengths, so that
+        each step exactly doubles the known length of the inverse.  Both
+        paths give the unique inverse on the window.  Requires valuation
+        0 and a unit constant term (in this package the constant term is
+        always 1).
         """
-        if self.valuation != 0:
-            raise ValueError(
-                f"inversion requires valuation 0, got {self.valuation}"
-            )
-        if not self.coeffs:
-            raise ValueError("cannot invert a series with no known coefficients")
-        m = self.modulus
-        try:
-            lead = pow(self.coeffs[0], -1, m)
-        except ValueError as exc:
-            raise ValueError(
-                f"constant term {self.coeffs[0]} is not a unit modulo {m}"
-            ) from exc
-        n = len(self.coeffs)
-        d = math.gcd(m, *self.coeffs[1:])
-        if d**3 % m == 0:
-            u = [0] + [(-lead * c) % m for c in self.coeffs[1:]]
-            square = m // math.gcd(m, d * d)
-            if square > 1:
-                # v = u / d, reduced: _convolve needs residues below its modulus
-                v = [c // d % square for c in u]
-                for i, c in enumerate(_convolve(v, v, square, n)):
-                    u[i] += d * d * c
-            u[0] = 1
-            return TruncatedSeries._of_residues(m, [lead * c % m for c in u])
-        g = [lead]
-        while len(g) < n:
-            h = len(g)
-            k = min(2 * h, n)
-            err = _convolve(self.coeffs, g, m, k)[h:]
-            g += [(-c) % m for c in _convolve(g, err, m, k - h)]
-        return TruncatedSeries._of_residues(m, g)
+        return _divide(None, self)
 
     def pow(self, exponent: int) -> "TruncatedSeries":
         """Binary powering from the lowest power the exponent needs, with
@@ -328,3 +301,69 @@ class TruncatedSeries:
         if len(shown) > 60:
             shown = shown[:57] + "..."
         return f"TruncatedSeries({shown} + O(q^{self.precision}), mod {self.modulus})"
+
+
+def _newton(
+    f: Sequence[int], lead: int, modulus: int, n: int, h: Sequence[int] | None = None
+) -> list[int]:
+    """The first n coefficients of h/f mod modulus, or of 1/f without h.
+
+    ``lead`` is the inverse of f's constant term, and f and h hold at
+    least n canonical residues.  With g = 1/f to k = ceil(n/2), found the
+    same way, and q = h*g to k, f*q agrees with h below q^k, so
+    q + g*(h - f*q) is h/f to n.  Without h, q = g and this is Newton's
+    step: a product of n by k terms and one of k by n - k.  With h, the
+    product by the inverse is folded into the last step (Karp and
+    Markstein) as one more of k by k, where h times the whole inverse
+    would be n by n.
+    """
+    if n < 2:
+        return [lead][:n] if h is None else [lead * c % modulus for c in h[:n]]
+    k = (n + 1) // 2
+    g = _newton(f, lead, modulus, k)
+    q = g if h is None else _convolve(h, g, modulus, k)
+    high = repeat(0) if h is None else h[k:n]
+    err = [(c - x) % modulus for c, x in zip(high, _convolve(f, q, modulus, n)[k:])]
+    return q + _convolve(g, err, modulus, n - k)
+
+
+def _divide(num: TruncatedSeries | None, den: TruncatedSeries) -> TruncatedSeries:
+    """``num.mul(den.invert())``, and ``den.invert()`` itself when num is None.
+
+    The package's one division; `TruncatedSeries.invert` states both of
+    its paths.  Where den takes Newton's path, the product by the inverse
+    is folded into the last step (`_newton`); where its inverse is the
+    geometric sum, the quotient is the product by that sum.
+    """
+    if den.valuation != 0:
+        raise ValueError(f"inversion requires valuation 0, got {den.valuation}")
+    if not den.coeffs:
+        raise ValueError("cannot invert a series with no known coefficients")
+    m = den.modulus
+    try:
+        lead = pow(den.coeffs[0], -1, m)
+    except ValueError as exc:
+        raise ValueError(
+            f"constant term {den.coeffs[0]} is not a unit modulo {m}"
+        ) from exc
+    if num is not None:
+        num._require_same_ring(den)
+    n = len(den.coeffs)
+    d = math.gcd(m, *den.coeffs[1:])
+    if d**3 % m == 0:
+        u = [0] + [(-lead * c) % m for c in den.coeffs[1:]]
+        square = m // math.gcd(m, d * d)
+        if square > 1:
+            # v = u / d, reduced: _convolve needs residues below its modulus
+            v = [c // d % square for c in u]
+            for i, c in enumerate(_convolve(v, v, square, n)):
+                u[i] += d * d * c
+        u[0] = 1
+        inverse = TruncatedSeries._of_residues(m, [lead * c % m for c in u])
+        return inverse if num is None else num.mul(inverse)
+    if num is None:
+        return TruncatedSeries._of_residues(m, _newton(den.coeffs, lead, m, n))
+    n = min(n, len(num.coeffs))
+    return TruncatedSeries._of_residues(
+        m, _newton(den.coeffs, lead, m, n, num.coeffs), num.valuation
+    )

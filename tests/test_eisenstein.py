@@ -40,12 +40,34 @@ def test_sigma_matches_full_divisor_enumeration():
 
 
 def test_sigma_table_sieve_matches_sigma():
-    # lengths 1-5 and an odd one hold the edges of the sieve's d < terms/2
+    # lengths 1-5 hold the sieve's edges: no prime, the first primes, the first square
     for power in (1, 3, 5):
         for terms in (1, 2, 3, 4, 5, 3000, 3001):
             assert _sigma_table(power, terms) == tuple(
                 brute_sigma(power, n) for n in range(1, terms)
             )
+
+
+def divisor_sums(power, terms):
+    # reference: each n from 1 to terms - 1 sums d^power over its divisor pairs d, n/d
+    sums = []
+    for n in range(1, terms):
+        total = 0
+        for d in range(1, math.isqrt(n) + 1):
+            if n % d == 0:
+                total += d**power + ((n // d) ** power if d * d != n else 0)
+        sums.append(total)
+    return tuple(sums)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4, 5, 9, 26, 28, 2188, 4097])
+def test_sigma_table_is_the_divisor_sum_at_prime_power_edges(terms):
+    # 8, 27, 2187 = 3^7 and 4096 = 2^12 are the last entries at 9, 28, 2188 and
+    # 4097, and 26 stops just short of 27, so the step from sigma(p^(e-1)) to
+    # sigma(p^e) runs at exponents 3 and up, at a table's end and just before it
+    for power in range(6):
+        _sigma_table.cache_clear()
+        assert _sigma_table(power, terms) == divisor_sums(power, terms)
 
 
 def test_series_constants():
@@ -122,6 +144,35 @@ def test_power_product_matches_the_product_from_one(r, s, t, m, n):
     product = eisenstein_power_product(r, s, t, m, n)
     assert product == reference
     assert product.precision == reference.precision
+
+
+#: the box of the quotient differential: primes, prime powers, a composite
+#: and the two wide moduli, at windows from one term to past 1200
+QUOTIENT_MODULI = (5, 7, 13, 9, 27, 49, 81, 243, 1000, 7**12, 3**20)
+QUOTIENT_TERMS = (1, 2, 3, 17, 100, 1201)
+
+
+@pytest.mark.parametrize("m", QUOTIENT_MODULI)
+@pytest.mark.parametrize("n", QUOTIENT_TERMS)
+def test_power_product_is_the_numerator_times_the_inverse_denominator(m, n):
+    # reference: the factors of positive and of negative exponent multiplied
+    # out by mul, then one full product by the denominator's inverse
+    rng = random.Random(f"{m}:{n}")
+    for _ in range(3 if n > 1000 else 8):
+        r, s, t = (rng.randint(-3, 3) for _ in range(3))
+        num = den = TruncatedSeries.one(m, n)
+        for weight, exponent in ((2, r), (4, s), (6, t)):
+            factor = eisenstein_series(weight, m, n)
+            for _ in range(abs(exponent)):
+                if exponent > 0:
+                    num = num.mul(factor)
+                else:
+                    den = den.mul(factor)
+        reference = num.mul(den.invert())
+        product = eisenstein_power_product(r, s, t, m, n)
+        assert (product.modulus, product.valuation, product.coeffs, product.precision) == (
+            reference.modulus, reference.valuation, reference.coeffs, reference.precision
+        ), (r, s, t)
 
 
 def test_eisenstein_series_rejects_modulus_below_two():

@@ -14,6 +14,7 @@ from eiscong.series import (
     PrecisionError,
     TruncatedSeries,
     _convolve,
+    _divide,
     _slot_width,
 )
 
@@ -231,6 +232,21 @@ def test_convolve_reaches_each_slot_width_from_1_to_10_bytes():
                 assert _convolve(a, b, m, terms) == schoolbook(a, b, m, terms)
 
 
+@pytest.mark.parametrize(
+    "m, n, width",
+    # a byte slot, slots of 3 and 5 bytes through C types of 4 and 8, and 10-byte slots
+    [(7, 7, 1), (181, 40, 3), (65521, 40, 5), (7**12, 40, 10)],
+)
+def test_a_square_is_the_product_of_two_equal_windows(m, n, width):
+    assert _slot_width(n, m) == width
+    rng = random.Random(m)
+    entries = [rng.choice((0, m - 1, rng.randrange(m))) for _ in range(n)]
+    for a in (entries, tuple(entries), [m - 1] * n):
+        for terms in (None, 0, 1, n // 2, n, 2 * n - 2, 2 * n - 1, 2 * n + 3):
+            square = _convolve(a, a, m, terms)
+            assert square == _convolve(a, list(a), m, terms) == schoolbook(a, a, m, terms)
+
+
 # reference codec: every slot of at most 8 bytes rounded up to 1, 2, 4 or 8
 _REFERENCE_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
@@ -306,6 +322,15 @@ def test_half_length_newton_matches_the_full_correction(f):
     assert list(f.invert().coeffs) == invert_full_correction(f.coeffs, f.modulus)
 
 
+@pytest.mark.parametrize("modulus", [7**12, 3**20])
+@pytest.mark.parametrize("n", [2, 3, 1025, 1200])
+def test_newton_along_the_halving_chain_matches_the_full_correction(modulus, n):
+    # 1025 halves through odd lengths 513, 257, ..., 3; 1200 ends 1200 by 600
+    rng = random.Random(n)
+    f = TruncatedSeries(modulus, [1] + [rng.randrange(modulus) for _ in range(n - 1)])
+    assert list(f.invert().coeffs) == invert_full_correction(f.coeffs, modulus)
+
+
 #: prime-power factorisations of moduli where a shared factor d of the
 #: coefficients from q^1 on can reach d^3 = 0 (mod m); 54 = 2 * 27 has
 #: d = 6 with d^3 = 0 but d^2 not dividing m
@@ -333,6 +358,33 @@ def shared_factor_window(draw):
 @example(TruncatedSeries(441, [2, 21, 0, 42, 441 - 21]))
 def test_geometric_sum_inverse_matches_the_full_correction(f):
     assert list(f.invert().coeffs) == invert_full_correction(f.coeffs, f.modulus)
+
+
+@st.composite
+def quotient_case(draw):
+    # a denominator on either path of invert, and a numerator of any valuation and length
+    den = draw(st.one_of(unit_window(), shared_factor_window()))
+    m = den.modulus
+    n = draw(st.integers(0, 75))
+    entry = st.one_of(st.just(0), st.just(m - 1), st.integers(0, m - 1))
+    coeffs = draw(st.lists(entry, min_size=n, max_size=n))
+    num = TruncatedSeries(m, coeffs, draw(st.integers(-3, 3)))
+    return num, den
+
+
+@settings(max_examples=200)
+@given(quotient_case())
+def test_division_is_the_product_by_the_inverse(case):
+    num, den = case
+    quotient, reference = _divide(num, den), num.mul(den.invert())
+    assert (quotient.valuation, quotient.coeffs, quotient.precision) == (
+        reference.valuation, reference.coeffs, reference.precision
+    )
+
+
+def test_division_checks_its_rings():
+    with pytest.raises(ModulusMismatchError):
+        _divide(TS(5, [1, 2]), TS(7, [1, 2]))
 
 
 #: (weight, modulus) at 4000 terms: E6 mod 243 squares u over Z/3, E4 mod 27
