@@ -33,8 +33,9 @@ vanishes at the supersingular points, so where its x-part has a root x0
 in F_ell, a polynomial whose x-part is nonzero at x0 is not divisible by
 A~: one evaluation rules the division out.  Otherwise, since R^2 never
 divides A~, division by A~ reads each quotient coefficient off from the
-lowest R-exponent up, and one product with A~ confirms that the
-division is exact.
+lowest R-exponent up, through the polynomial's last coefficient, and
+the division is exact when every coefficient that falls outside the
+quotient's layout vanishes.
 """
 
 from __future__ import annotations
@@ -188,11 +189,13 @@ class IsobaricPolynomial:
         in x = R^2 / Q^3, and A~ is Q^a R^b g(x).  If A~ divides, f is
         x^e g h with e in {0, 1} (R R = Q^3 x), so f vanishes at every root
         x0 of g in F_ell (`_a_tilde_root`): a nonzero f(x0) proves that A~
-        does not divide, at the cost of one evaluation.  Otherwise, since
-        g's constant term is a unit (R^2 never divides A~), the only
-        possible quotient is read off coefficient by coefficient from the
-        lowest R-exponent up, on the quotient weight's layout; A~ divides
-        exactly when that candidate times A~ gives the polynomial back.  By
+        does not divide, at the cost of one evaluation.  Otherwise f / x^e
+        is divided by g as a power series, coefficient by coefficient from
+        the lowest R-exponent up, through f's last coefficient.  Since g's
+        constant term is a unit (R^2 never divides A~), that quotient is
+        a polynomial on the quotient weight's layout exactly when g
+        divides, so A~ divides exactly when f's entry below x^e and every
+        quotient coefficient past the layout's length vanish.  By
         Swinnerton-Dyer, for the polynomial of a nonzero form at any weight
         the quotient sits at the form's filtration.
         """
@@ -206,13 +209,13 @@ class IsobaricPolynomial:
             if root is not None and _horner(poly.coeffs, root, ell):
                 break
             _, b0, length = dense_layout(weight)
-            f = poly.coeffs[b0 & dense_layout(ell - 1)[1] :]
-            q = [0] * top  # q[top + n] is the quotient's coefficient n
-            for n in range(length):
-                q.append((f[n] - sum(map(mul, q[n : n + top], high))) * inv % ell)
-            q = tuple(q[top:])
-            if tuple(dense_product(ell, weight, q, ell - 1, d)) != poly.coeffs:
+            shift = b0 & dense_layout(ell - 1)[1]
+            q = [0] * top  # q[top + n] is the power-series quotient's coefficient n
+            for n, c in enumerate(poly.coeffs[shift:]):
+                q.append((c - sum(map(mul, q[n : n + top], high))) * inv % ell)
+            if any(poly.coeffs[:shift]) or any(q[top + length :]):
                 break
+            q = tuple(q[top : top + length])
             poly, count = IsobaricPolynomial._of_residues(ell, weight, q), count + 1
         return poly, count
 

@@ -114,42 +114,41 @@ def tate_cycle(
     of ell - 1, every other step must rise by exactly ell + 1, and the
     cycle closes up by Fermat (theta^ell and theta reduce to the same
     polynomial).  All three facts are re-verified and a violation
-    raises, since it can only mean a bug.  A q-series is read through
-    its first floor(k/12) + 1 coefficients at its weight k, and fewer
-    raise `PrecisionError`.
+    raises, since it can only mean a bug.  The rise and fall rules also
+    force one or two low points, which is why no check counts them.  The
+    steps add up to zero round the cycle, so the falls k_i (ell - 1)
+    after the high points have k_1 + ... = ell + 1; and ell - k_i or
+    more of the ell - 1 steps lead from the i-th high point to the next.
+    Hence there are one or two high points, and a single one falls by
+    (ell + 1)(ell - 1) to a low point at 2 mod ell
+    (`tests/test_tate.py::test_the_rise_and_fall_rules_leave_one_or_two_low_points`).
+    A q-series is read through its first floor(k/12) + 1 coefficients
+    at its weight k, and fewer raise `PrecisionError`.
     """
     ell = form.prime
     require_cycle_cap(ell, cap)
     start = time.perf_counter()
-    base_poly, divisions = filtration_polynomial(form)
-    base = base_poly.weight
-
-    def theta_step(poly: IsobaricPolynomial) -> IsobaricPolynomial:
-        nonlocal divisions
-        lowered, count = poly.theta().strip_a_tilde()
+    iterate, divisions = filtration_polynomial(form)
+    base = iterate.weight
+    weights = []  # of the iterates 1, ..., ell, the ell-th closing the cycle
+    for step in range(ell):
+        iterate, count = iterate.theta().strip_a_tilde()
         divisions += count
-        return lowered
-
-    first = theta_step(base_poly)
-    if not any(first.coeffs):
-        raise ValueError(
-            "theta kills this form mod ell; the cycle is trivial and every "
-            "nonzero residue carries a congruence"
-        )
-    iterate = first
-    filts = [first.weight]
-    for _ in range(2, ell):
-        iterate = theta_step(iterate)
-        filts.append(iterate.weight)
-    if theta_step(iterate) != first:
+        weights.append(iterate.weight)
+        if step == 0:
+            first = iterate
+            if not any(first.coeffs):
+                raise ValueError(
+                    "theta kills this form mod ell; the cycle is trivial and every "
+                    "nonzero residue carries a congruence"
+                )
+    if iterate != first:
         raise RuntimeError("theta iterates fail to close up after ell steps")
-    if base % ell and filts[0] != base + ell + 1:
+    if base % ell and weights[0] != base + ell + 1:
         raise RuntimeError("first theta step must rise by ell + 1")
-    highs, lows, falls = [], [], []
-    for i in range(1, ell):
-        w = filts[i - 1]
+    highs, falls = [], []
+    for i, (w, w_next) in enumerate(zip(weights, weights[1:]), start=1):
         succ = i % (ell - 1) + 1
-        w_next = filts[succ - 1]
         if w % ell == 0:
             drop = w + ell + 1 - w_next
             if drop <= 0 or drop % (ell - 1):
@@ -157,16 +156,11 @@ def tate_cycle(
                     f"iterate {succ} falls by {drop}, not a positive multiple of ell - 1"
                 )
             highs.append(i)
-            lows.append(succ)
             falls.append(drop // (ell - 1))
         elif w_next != w + ell + 1:
             raise RuntimeError(
                 f"iterate {succ} must rise by ell + 1 from a filtration prime to ell"
             )
-    if len(lows) not in (1, 2):
-        raise RuntimeError(f"a Tate cycle has one or two low points, found {len(lows)}")
-    if len(lows) == 1 and filts[lows[0] - 1] % ell != 2:
-        raise RuntimeError("a single low point must have filtration 2 mod ell")
     log.info(
         "tate cycle mod %d: tagged weight %d, base filtration %d, %d divisions by A~, %.4f s",
         ell, form.weight, base, divisions, time.perf_counter() - start,
@@ -175,9 +169,9 @@ def tate_cycle(
         prime=ell,
         base_weight=form.weight,
         base_filtration=base,
-        filtrations=tuple(filts),
+        filtrations=tuple(weights[:-1]),
         high_points=tuple(highs),
-        low_points=tuple(lows),
+        low_points=tuple(i % (ell - 1) + 1 for i in highs),
         falls=tuple(falls),
     )
 

@@ -27,6 +27,7 @@ from eiscong.filtration import (
     IsobaricPolynomial,
     ModularFormModEll,
     _a_tilde_root,
+    _horner,
     _lift_polynomial,
     compute_a_tilde,
     dense_layout,
@@ -348,6 +349,22 @@ def test_strip_a_tilde_matches_long_division(ell):
                 coeffs = dense_product(ell, poly.weight, poly.coeffs, ell - 1, a_tilde.coeffs)
                 poly = IsobaricPolynomial(ell, poly.weight + ell - 1, tuple(coeffs))
             polys.append(poly)
+    if ell % 4 == 3:
+        # A~ has an odd R-exponent.  A multiple A~ h, h of weight 2 mod 4, is
+        # moved by x^j, times x - x0 where A~'s x-part has a root x0 so that
+        # the evaluation there lets it through, to reach the two rejections
+        # random polynomials almost never do: a nonzero entry 0, below the
+        # quotient's layout, and changed last entries, past it (always above
+        # 11, where A~ is no monomial)
+        root = _a_tilde_root(ell)
+        step = [1] if root is None else [-root % ell, 1]
+        h = rand(rng.randrange(6, 240, 4))
+        product = dense_product(ell, h.weight, h.coeffs, ell - 1, a_tilde.coeffs)
+        for start in (0, -len(step)):
+            coeffs = list(product)
+            for i, c in enumerate(step, start=start):
+                coeffs[i] = (coeffs[i] + c) % ell
+            polys.append(IsobaricPolynomial(ell, h.weight + ell - 1, tuple(coeffs)))
     assert {poly.weight % 4 for poly in polys} == {0, 2}
     mismatches = [
         (poly.weight, poly.coeffs)
@@ -384,15 +401,21 @@ def test_a_tilde_root_is_a_root_of_its_x_part():
     assert [ell for ell in capped if roots[ell] is None] == []
 
 
-def count_strip_products(monkeypatch, spec, ell):
-    """Products made inside `strip_a_tilde` over one cycle, exact divisions and calls."""
-    counts = {"products": 0, "divisions": 0, "calls": 0}
+def count_strip_work(monkeypatch, spec, ell):
+    """Products and zero evaluations at the root inside `strip_a_tilde` over a cycle; divisions."""
+    counts = {"products": 0, "zeros": 0, "divisions": 0}
     inside = False
-    product, strip = dense_product, IsobaricPolynomial.strip_a_tilde
+    product, horner, strip = dense_product, _horner, IsobaricPolynomial.strip_a_tilde
+    _a_tilde_root(ell)  # found and cached before the evaluations are counted
 
     def counted_product(*args):
         counts["products"] += inside
         return product(*args)
+
+    def counted_horner(*args):
+        value = horner(*args)
+        counts["zeros"] += inside and not value
+        return value
 
     def counted_strip(poly):
         nonlocal inside
@@ -402,11 +425,11 @@ def count_strip_products(monkeypatch, spec, ell):
         finally:
             inside = False
         counts["divisions"] += count
-        counts["calls"] += 1
         return lowered, count
 
     with monkeypatch.context() as patch:
         patch.setattr("eiscong.filtration.dense_product", counted_product)
+        patch.setattr("eiscong.filtration._horner", counted_horner)
         patch.setattr(IsobaricPolynomial, "strip_a_tilde", counted_strip)
         tate_cycle(_lift_polynomial(spec, ell))
     return counts
@@ -417,16 +440,18 @@ def count_strip_products(monkeypatch, spec, ell):
     [(QuotientSpec(0, 1, -3), 29), (QuotientSpec(0, -12, 1), 29), (QuotientSpec(1, 0, -1), 31),
      (QuotientSpec(0, 0, -2), 53)],
 )
-def test_the_pre_test_leaves_one_product_with_a_tilde_per_exact_division(
+def test_strip_a_tilde_makes_no_product_and_each_zero_at_the_root_divides(
     monkeypatch, spec, ell
 ):
-    counts = count_strip_products(monkeypatch, spec, ell)
-    assert counts["products"] == counts["divisions"] > 0
-    # without a root every call ends in one more product, the failing one
+    counts = count_strip_work(monkeypatch, spec, ell)
+    # the recurrence alone decides each division; every attempt that the
+    # evaluation at the root lets through ends in an exact division
+    assert counts["products"] == 0
+    assert counts["zeros"] == counts["divisions"] > 0
+    # without a root every attempt runs the recurrence, and the same ones divide
     monkeypatch.setattr("eiscong.filtration._a_tilde_root", lambda ell: None)
-    fallback = count_strip_products(monkeypatch, spec, ell)
-    assert fallback["divisions"] == counts["divisions"]
-    assert fallback["products"] == fallback["divisions"] + fallback["calls"]
+    fallback = count_strip_work(monkeypatch, spec, ell)
+    assert fallback == {"products": 0, "zeros": 0, "divisions": counts["divisions"]}
 
 
 def test_cycles_without_the_pre_test_give_the_same_profiles(monkeypatch):
