@@ -131,8 +131,7 @@ def _emit(args, payload: dict, table_lines: list[str], csv_rows: list[dict] | No
     elif args.output == "csv":
         rows = csv_rows if csv_rows is not None else [payload]
         buf = io.StringIO()
-        fields = list(rows[0].keys())
-        writer = csv.DictWriter(buf, fieldnames=fields)
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(
@@ -264,9 +263,14 @@ def _cmd_a_tilde(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
+    args = build_parser().parse_args(argv)
+    # each call logs at its own level to the stderr of the moment; the root
+    # logger's handlers and level are restored on the way out
+    root, level = logging.getLogger(), logging.getLogger().level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    root.addHandler(handler)
+    root.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         _emit(args, *args.run(args))
         return EXIT_OK
@@ -283,6 +287,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -117,23 +117,23 @@ def quotient_series(spec: QuotientSpec, modulus: int, terms: int) -> TruncatedSe
 
 
 def quotient_q_coefficient(r: int, s: int, t: int) -> int:
-    """Closed form of the q coefficient of E2^r * E4^s * E6^t."""
-    return -24 * r + 240 * s - 504 * t
+    """Closed form of the q coefficient of E2^r * E4^s * E6^t: r*C_2 + s*C_4 + t*C_6."""
+    return sum(e * c for e, c in zip((r, s, t), WEIGHT_CONSTANTS.values()))
 
 
 def quotient_q2_coefficient(r: int, s: int, t: int) -> int:
-    """Closed form of the q^2 coefficient of E2^r * E4^s * E6^t."""
-    return (
-        288 * r * r
-        - 5760 * r * s
-        + 12096 * r * t
-        - 360 * r
-        + 28800 * s * s
-        - 120960 * s * t
-        - 26640 * s
-        + 127008 * t * t
-        - 143640 * t
-    )
+    """Closed form of the q^2 coefficient of E2^r * E4^s * E6^t.
+
+    E_k = 1 + C_k q + C_k (1 + 2^(k-1)) q^2 + ..., since sigma_(k-1)(2)
+    = 1 + 2^(k-1), so log E_k = C_k q + C_k (1 + 2^(k-1) - C_k/2) q^2 + ....
+    The product's logarithm is the sum of e * log E_k over the exponents
+    e in (r, s, t), c1 q + c2 q^2 + ... with c1 the q coefficient, and its
+    exponential has q^2 coefficient c2 + c1^2/2.  Every C_k is even, so
+    both halves, and the result, are exact integers.
+    """
+    pairs = zip((r, s, t), WEIGHT_CONSTANTS.items())
+    c2 = sum(e * c * (1 + 2 ** (k - 1) - c // 2) for e, (k, c) in pairs)
+    return quotient_q_coefficient(r, s, t) ** 2 // 2 + c2
 
 
 def lift_exponents(spec: QuotientSpec, ell: int) -> tuple[int, int, int]:

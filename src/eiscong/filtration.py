@@ -49,7 +49,7 @@ from typing import Sequence
 
 from .eisenstein import QuotientSpec, eisenstein_power_product, lift_exponents, require_lift
 from .primes import require_prime
-from .series import PrecisionError, TruncatedSeries, _convolve, _divide
+from .series import PrecisionError, TruncatedSeries, _convolve, _divide, _format_sum
 
 log = logging.getLogger(__name__)
 
@@ -220,19 +220,7 @@ class IsobaricPolynomial:
         return poly, count
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for a, b, c in self.terms:
-            mono = "".join(
-                (f"Q^{a}" if a > 1 else "Q" if a == 1 else "",
-                 f"R^{b}" if b > 1 else "R" if b == 1 else "")
-            )
-            if not mono:
-                parts.append(str(c))
-            else:
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(parts)
+        return _format_sum(self.terms, "QR")
 
 
 def represent(form: ModularFormModEll, weight: int) -> IsobaricPolynomial | None:

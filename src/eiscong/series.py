@@ -102,6 +102,22 @@ def _convolve(
     return _unpack(data, width, modulus)
 
 
+def _format_sum(terms: Iterable[Sequence[int]], letters: str) -> str:
+    """Print the sum of the terms (e_1, ..., e_n, c), each c * x_1^e_1 * ... * x_n^e_n.
+
+    The letters name x_1, ..., x_n.  A term with c = 0 is left out; any
+    other prints as ``c*mono``, as the bare monomial when c = 1, or as
+    ``c`` when the monomial is 1, and a power as nothing, ``x`` or ``x^e``.
+    Terms are joined by " + ", and an empty sum prints ``0``.
+    """
+    shown = []
+    for *powers, c in terms:
+        if c:
+            mono = "".join(x if e == 1 else f"{x}^{e}" for x, e in zip(letters, powers) if e)
+            shown.append(str(c) if not mono else mono if c == 1 else f"{c}*{mono}")
+    return " + ".join(shown) or "0"
+
+
 class TruncatedSeries:
     """A Laurent q-series over Z/m, exact on [valuation, precision)."""
 
@@ -226,12 +242,11 @@ class TruncatedSeries:
             return TruncatedSeries.one(self.modulus, window)
         result = None
         base = self
-        e = exponent
         while True:
-            if e & 1:
+            if exponent & 1:
                 result = base if result is None else result.mul(base)
-            e >>= 1
-            if not e:
+            exponent >>= 1
+            if not exponent:
                 return result
             base = base.mul(base)
 
@@ -285,16 +300,7 @@ class TruncatedSeries:
         return hash((self.modulus, self.valuation, self.coeffs))
 
     def __str__(self):
-        terms = []
-        for n, c in enumerate(self.coeffs, start=self.valuation):
-            if c == 0:
-                continue
-            if n == 0:
-                terms.append(str(c))
-            else:
-                mono = "q" if n == 1 else f"q^{n}"
-                terms.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(terms) if terms else "0"
+        return _format_sum(enumerate(self.coeffs, start=self.valuation), "q")
 
     def __repr__(self):
         shown = str(self)

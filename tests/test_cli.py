@@ -1,5 +1,6 @@
 import importlib
 import json
+import logging
 import os
 import shlex
 import subprocess
@@ -423,3 +424,21 @@ def test_successive_main_calls_share_no_state(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert "above bound" not in out
     assert out.splitlines()[0].endswith("scanned to the theorem bound 41")
+
+
+def test_successive_main_calls_log_at_their_own_level(capsys):
+    # --verbose holds for its own call only, in either order, and each call
+    # leaves the root logger's handlers and level as it found them
+    root = logging.getLogger()
+    found = (list(root.handlers), root.level)
+    verbose = ["--verbose", "find-congruences", "--r", "0", "--s", "-12", "--t", "1"]
+    assert run(capsys, "a-tilde", "--ell", "13")[2] == ""
+    code, _, err = run(capsys, *verbose, "--ell", "17")
+    assert code == 0
+    assert err.startswith("INFO:eiscong.scanner:scan mod 17: rigorous, ")
+    assert (list(root.handlers), root.level) == found
+    code, _, err = run(capsys, *verbose, "--ell", "19")
+    assert err.startswith("INFO:eiscong.scanner:scan mod 19: rigorous, ")
+    code, _, err = run(capsys, *verbose[1:], "--ell", "19")
+    assert (code, err) == (0, "")
+    assert (list(root.handlers), root.level) == found

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -194,6 +195,36 @@ def test_low_coefficients_match_closed_forms(r, s, t):
         f = eisenstein_power_product(r, s, t, m, 3)
         assert f.coefficient(1) == quotient_q_coefficient(r, s, t) % m
         assert f.coefficient(2) == quotient_q2_coefficient(r, s, t) % m
+
+
+def q_reference(r, s, t):
+    """The q coefficient as a literal, the form the package derives from C_k."""
+    return -24 * r + 240 * s - 504 * t
+
+
+def q2_reference(r, s, t):
+    """The q^2 coefficient as the expanded nine-term literal."""
+    return (
+        288 * r * r
+        - 5760 * r * s
+        + 12096 * r * t
+        - 360 * r
+        + 28800 * s * s
+        - 120960 * s * t
+        - 26640 * s
+        + 127008 * t * t
+        - 143640 * t
+    )
+
+
+def test_closed_forms_match_the_literals():
+    # both sides are polynomials of degree 2 in each exponent, so agreement on
+    # three values of each forces equality; the box checks many more
+    box = range(-60, 61, 3)
+    for r, s, t in itertools.product(box, repeat=3):
+        q, q2 = quotient_q_coefficient(r, s, t), quotient_q2_coefficient(r, s, t)
+        assert type(q) is int and q == q_reference(r, s, t), (r, s, t)
+        assert type(q2) is int and q2 == q2_reference(r, s, t), (r, s, t)
 
 
 def test_negative_powers_work_modulo_prime_powers():

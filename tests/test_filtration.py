@@ -409,6 +409,39 @@ def test_isobaric_polynomial_rejects_the_states_sparse_terms_allowed():
     assert str(IsobaricPolynomial(5, 0, (3,))) == "3"
 
 
+def str_reference(poly):
+    """The polynomial printer written out for Q and R, to check the shared one against."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for a, b, c in poly.terms:
+        mono = "".join(
+            (f"Q^{a}" if a > 1 else "Q" if a == 1 else "",
+             f"R^{b}" if b > 1 else "R" if b == 1 else "")
+        )
+        if not mono:
+            parts.append(str(c))
+        else:
+            parts.append(mono if c == 1 else f"{c}*{mono}")
+    return " + ".join(parts)
+
+
+def test_str_matches_the_reference_printer():
+    rng = random.Random(31)
+    for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        assert str(compute_a_tilde(ell)) == str_reference(compute_a_tilde(ell))
+        for weight in range(0, 61, 2):
+            length = len(monomial_exponents(weight))
+            # zeros and ones often: the zero polynomial, bare monomials, a bare 1
+            draws = [(0,) * length, (1,) * length] + [
+                tuple(rng.choice((0, 1, rng.randrange(ell))) for _ in range(length))
+                for _ in range(4)
+            ]
+            for coeffs in draws:
+                poly = IsobaricPolynomial(ell, weight, coeffs)
+                assert str(poly) == str_reference(poly), (ell, weight, coeffs)
+
+
 def test_form_validation():
     with pytest.raises(ValueError):
         ModularFormModEll(4, 2, TruncatedSeries.one(4, 3))

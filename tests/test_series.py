@@ -564,6 +564,35 @@ def test_str_forms():
     assert repr(long) == f"TruncatedSeries({str(long)[:57]}... + O(q^30), mod 7)"
 
 
+def str_reference(series):
+    """The series printer written out for q alone, to check the shared one against."""
+    terms = []
+    for n, c in enumerate(series.coeffs, start=series.valuation):
+        if c == 0:
+            continue
+        if n == 0:
+            terms.append(str(c))
+        else:
+            mono = "q" if n == 1 else f"q^{n}"
+            terms.append(mono if c == 1 else f"{c}*{mono}")
+    return " + ".join(terms) if terms else "0"
+
+
+def test_str_matches_the_reference_printer():
+    rng = random.Random(31)
+    for modulus in (2, 3, 7, 10, 49, 1000, 10**6):
+        for valuation in range(-3, 4):
+            for length in (0, 1, 2, 5, 12):
+                # zeros and ones often: zero windows, bare monomials, a bare 1
+                draws = [[0] * length, [1] * length] + [
+                    [rng.choice((0, 1, rng.randrange(modulus))) for _ in range(length)]
+                    for _ in range(8)
+                ]
+                for coeffs in draws:
+                    series = TS(modulus, coeffs, valuation)
+                    assert str(series) == str_reference(series), (modulus, valuation, coeffs)
+
+
 # ---------------------------------------------------------------------------
 # algebraic laws on random inputs
 
