@@ -8,7 +8,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import logging
@@ -129,6 +128,8 @@ def _emit(args, payload: dict, table_lines: list[str], csv_rows: list[dict] | No
     if args.output == "json":
         print(json.dumps(payload, indent=2))
     elif args.output == "csv":
+        import csv  # only CSV output loads it
+
         rows = csv_rows if csv_rows is not None else [payload]
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]))

@@ -11,7 +11,7 @@ is ever computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import mul
@@ -66,17 +66,18 @@ def eisenstein_series(weight: int, modulus: int, terms: int) -> TruncatedSeries:
     return TruncatedSeries._of_residues(modulus, vals)
 
 
-@dataclass(frozen=True)
-class QuotientSpec:
+class QuotientSpec(namedtuple("QuotientSpec", "r s t")):
     """Exponents (r, s, t) of the quotient E2^r * E4^s * E6^t, with r >= 0."""
 
-    r: int
-    s: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError(f"the E2 exponent must be nonnegative, got {self.r}")
+    def __new__(cls, r: int, s: int, t: int):
+        if r < 0:
+            raise ValueError(f"the E2 exponent must be nonnegative, got {r}")
+        return super().__new__(cls, r, s, t)
+
+    # `_replace` builds through `_make`, which would skip the check above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __str__(self):
         return f"E2^{self.r} * E4^{self.s} * E6^{self.t}"
@@ -113,7 +114,7 @@ def eisenstein_power_product(
 
 def quotient_series(spec: QuotientSpec, modulus: int, terms: int) -> TruncatedSeries:
     """The q-expansion of the quotient, exact mod modulus to the given terms."""
-    return eisenstein_power_product(spec.r, spec.s, spec.t, modulus, terms)
+    return eisenstein_power_product(*spec, modulus, terms)
 
 
 def quotient_q_coefficient(r: int, s: int, t: int) -> int:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 from typing import Sequence
@@ -102,21 +102,22 @@ def monomial_basis(
     return tuple(zip(pairs, series))
 
 
-@dataclass(frozen=True)
-class ModularFormModEll:
+class ModularFormModEll(namedtuple("ModularFormModEll", "prime weight series")):
     """A q-series known to be the reduction of a weight-`weight` form mod `prime`."""
 
-    prime: int
-    weight: int
-    series: TruncatedSeries
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_prime(self.prime)
-        dense_layout(self.weight)  # the weight is even and nonnegative
-        if self.series.modulus != self.prime:
+    def __new__(cls, prime: int, weight: int, series: TruncatedSeries):
+        require_prime(prime)
+        dense_layout(weight)  # the weight is even and nonnegative
+        if series.modulus != prime:
             raise ValueError("series modulus must equal the prime")
-        if self.series.valuation < 0:
+        if series.valuation < 0:
             raise ValueError("modular form reductions have no negative exponents")
+        return super().__new__(cls, prime, weight, series)
+
+    # `_replace` builds through `_make`, which would skip the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_lift(cls, lifted: "ModularFormModEll") -> "ModularFormModEll":
@@ -127,8 +128,7 @@ class ModularFormModEll:
         return self.series.precision
 
 
-@dataclass(frozen=True)
-class IsobaricPolynomial:
+class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "prime weight coeffs")):
     """A weight-homogeneous polynomial in Q (weight 4) and R (weight 6) over F_ell.
 
     coeffs holds one canonical residue per monomial of the weight, on its
@@ -136,31 +136,29 @@ class IsobaricPolynomial:
     see `dense_layout`.
     """
 
-    prime: int
-    weight: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_prime(self.prime)
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        length = dense_layout(self.weight)[2]
-        if len(self.coeffs) != length:
+    def __new__(cls, prime: int, weight: int, coeffs: Sequence[int]):
+        require_prime(prime)
+        coeffs = tuple(coeffs)
+        length = dense_layout(weight)[2]
+        if len(coeffs) != length:
             raise ValueError(
-                f"weight {self.weight} has {length} monomials, got {len(self.coeffs)} coefficients"
+                f"weight {weight} has {length} monomials, got {len(coeffs)} coefficients"
             )
-        if not all(isinstance(c, int) and 0 <= c < self.prime for c in self.coeffs):
+        if not all(isinstance(c, int) and 0 <= c < prime for c in coeffs):
             raise ValueError("coefficients must be canonical residues")
+        return super().__new__(cls, prime, weight, coeffs)
+
+    # `_replace` builds through `_make`, which would skip the checks above
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def _of_residues(
         cls, prime: int, weight: int, coeffs: tuple[int, ...]
     ) -> "IsobaricPolynomial":
         """The polynomial of canonical residues on the weight's layout, not checked again."""
-        poly = cls.__new__(cls)
-        object.__setattr__(poly, "prime", prime)
-        object.__setattr__(poly, "weight", weight)
-        object.__setattr__(poly, "coeffs", coeffs)
-        return poly
+        return tuple.__new__(cls, (prime, weight, coeffs))
 
     @property
     def terms(self) -> tuple[tuple[int, int, int], ...]:

@@ -15,8 +15,7 @@ import math
 import os
 import time
 import types
-from dataclasses import asdict, dataclass, replace
-from datetime import datetime, timezone
+from collections import namedtuple
 from functools import partial
 from itertools import count, islice
 from pathlib import Path
@@ -188,8 +187,7 @@ def _scan(
 
 
 def report_to_record(report: CongruenceReport, bound: int) -> dict:
-    spec = report.spec
-    values = (spec.r, spec.s, spec.t, report.ell, report.method, list(report.residues),
+    values = (*report.spec, report.ell, report.method, list(report.residues),
               report.weight, report.precision, bound, __version__)
     return dict(zip(RECORD_FIELDS, values, strict=True))
 
@@ -233,20 +231,17 @@ def record_to_report(record: dict) -> CongruenceReport:
     )
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Outcome of one prime sweep: per-prime reports plus the above-bound sample."""
+class ScanResult(namedtuple("ScanResult", (
+    "spec bound_kind bound theorem_bound remark_bound identity_quotient "
+    "reports sampled_above started_at finished_at"
+))):
+    """Outcome of one prime sweep: per-prime reports plus the above-bound sample.
 
-    spec: QuotientSpec
-    bound_kind: str
-    bound: int
-    theorem_bound: int
-    remark_bound: int
-    identity_quotient: bool
-    reports: tuple[CongruenceReport, ...]
-    sampled_above: tuple[CongruenceReport, ...]
-    started_at: str
-    finished_at: str
+    reports and sampled_above are tuples of `CongruenceReport`; started_at
+    and finished_at are UTC times in ISO 8601 (`_utc_now`).
+    """
+
+    __slots__ = ()
 
     def to_records(self) -> list[dict]:
         return [report_to_record(rep, self.bound) for rep in self.reports + self.sampled_above]
@@ -254,7 +249,7 @@ class ScanResult:
     def to_json(self) -> dict:
         records = self.to_records()
         return {
-            **asdict(self.spec),
+            **self.spec._asdict(),
             "bound_kind": self.bound_kind,
             "bound": self.bound,
             "theorem_bound": self.theorem_bound,
@@ -313,7 +308,7 @@ class ResultsCache:
                     continue
                 if record["version"] != __version__ or (
                     record["r"], record["s"], record["t"]
-                ) != (spec.r, spec.s, spec.t):
+                ) != spec:
                     continue
                 if not _sweep_could_write(record, spec):
                     log.warning("skipping impossible record at %s:%d", path, lineno)
@@ -331,6 +326,17 @@ class ResultsCache:
         with open(self.path_for(result.spec), "a", encoding="utf-8") as fh:
             for record in result.to_records():
                 fh.write(json.dumps(record) + "\n")
+
+
+def _utc_now() -> str:
+    """The current UTC time as `datetime.now(timezone.utc).isoformat()` writes it.
+
+    Built from `time`, so that importing the package does not load
+    `datetime`: microseconds rounded down and left out at a whole second.
+    """
+    seconds, micros = divmod(time.time_ns() // 1000, 10**6)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
+    return f"{stamp}.{micros:06d}+00:00" if micros else f"{stamp}+00:00"
 
 
 def verify_theorem(
@@ -367,7 +373,7 @@ def verify_theorem(
     r_bound = remark_bound(spec)
     bound = r_bound if use_remark else t_bound
     kind = "remark" if use_remark else "theorem"
-    started = datetime.now(timezone.utc).isoformat()
+    started = _utc_now()
     primes = [p for p in range(5, bound + 1) if is_prime(p)]
     above = list(islice(filter(is_prime, count(bound + 1)), sample_above))
     targets = primes + above
@@ -388,7 +394,7 @@ def verify_theorem(
     windows = [window for _, window in scans]
     by_prefix = sum(0 < window <= FIRST_WINDOW for window in windows)
     by_window = sum(window > FIRST_WINDOW for window in windows)
-    identity = (spec.r, spec.s, spec.t) == (0, 0, 0)
+    identity = spec == (0, 0, 0)
     if not identity:
         for ell in above:
             if reports[ell].residues:
@@ -406,14 +412,13 @@ def verify_theorem(
         reports=tuple(reports[ell] for ell in primes),
         sampled_above=tuple(reports[ell] for ell in above),
         started_at=started,
-        finished_at=datetime.now(timezone.utc).isoformat(),
+        finished_at=_utc_now(),
     )
     if cache is not None and missing:
         # the cached primes are on file already; append only this call's scans
         fresh = set(missing)
         cache.put(
-            replace(
-                result,
+            result._replace(
                 reports=tuple(r for r in result.reports if r.ell in fresh),
                 sampled_above=tuple(r for r in result.sampled_above if r.ell in fresh),
             )
@@ -428,17 +433,10 @@ def verify_theorem(
     return result
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(namedtuple("TableRow", "name r s t step residue modulus")):
     """One congruence claim: a(n) = 0 mod modulus whenever n = residue mod step."""
 
-    name: str
-    r: int
-    s: int
-    t: int
-    step: int
-    residue: int
-    modulus: int
+    __slots__ = ()
 
 
 #: the Berndt and Yee congruence table; two quotients carry claims in both
@@ -494,5 +492,5 @@ def verify_table(rows=BERNDT_YEE_TABLE, terms: int = 3000) -> list[dict]:
                 f"table row {row.name}: coefficient of q^{n} is {progression.coeffs[0]}, "
                 f"not 0 mod {row.modulus}"
             )
-        out.append({**asdict(row), "terms": terms, "checked": progression.precision})
+        out.append({**row._asdict(), "terms": terms, "checked": progression.precision})
     return out

@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .eisenstein import (
     QuotientSpec,
@@ -62,35 +62,32 @@ METHOD_TRIVIAL_PRIME = "trivial-prime"
 METHOD_BELOW_BOUND = "below-bound-by-size"
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    """Detected residues for one (quotient, prime) pair and how they were found."""
+class CongruenceReport(namedtuple(
+    "CongruenceReport", "spec ell method residues weight precision", defaults=(None, None)
+)):
+    """Detected residues for one (quotient, prime) pair and how they were found.
 
-    spec: QuotientSpec
-    ell: int
-    method: str
-    residues: tuple[int, ...]
-    weight: int | None = None
-    precision: int | None = None
+    spec is a `QuotientSpec`, ell a prime, residues a tuple of ints; weight
+    and precision are ints or None.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TateCycleProfile:
+class TateCycleProfile(namedtuple(
+    "TateCycleProfile",
+    "prime base_weight base_filtration filtrations high_points low_points falls",
+)):
     """Filtrations of the theta iterates of a form and the cycle's drop structure.
 
     filtrations[i-1] is the filtration of the i-th theta iterate for
     i = 1, ..., ell-1.  high_points lists the indices whose filtration
     is divisible by ell; low_points and falls are aligned with it, the
-    successor of index ell-1 wrapping around to 1.
+    successor of index ell-1 wrapping around to 1.  All four are tuples
+    of ints.
     """
 
-    prime: int
-    base_weight: int
-    base_filtration: int
-    filtrations: tuple[int, ...]
-    high_points: tuple[int, ...]
-    low_points: tuple[int, ...]
-    falls: tuple[int, ...]
+    __slots__ = ()
 
 
 def require_cycle_cap(ell: int, cap: int) -> None:
@@ -268,7 +265,7 @@ def theta_zero_congruences_hold(spec: QuotientSpec, ell: int) -> bool:
     lift (`lift_weight`) mod ell.  That weight is not the filtration: the
     lift of E4^-3 E6^-3 at ell = 5 has weight 20 and filtration 12.
     """
-    r, s, t = spec.r, spec.s, spec.t
+    r, s, t = spec
     return (
         quotient_q_coefficient(r, s, t) % ell == 0
         and quotient_q2_coefficient(r, s, t) % ell == 0
@@ -291,7 +288,7 @@ def theta_vanishing_prime_candidates(
     Returns None for the identity quotient r = s = t = 0, where theta
     kills the constant series 1 mod every prime.
     """
-    g = math.gcd(spec.r, spec.s, spec.t)
+    g = math.gcd(*spec)
     if g == 0:
         return None
     candidates = set(SMALL_CANDIDATE_PRIMES).union(prime_factors(g))

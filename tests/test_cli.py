@@ -176,14 +176,15 @@ def fresh_env():
     return {**os.environ, "PYTHONPATH": str(Path(eiscong.__file__).parents[1])}
 
 
-def loaded_by_import(module):
-    # a fresh interpreter, so that no other test's imports are in sys.modules
+def loaded_by_import(*modules):
+    # those of the modules that importing the package loads, read in a fresh
+    # interpreter, so that no other test's imports are in sys.modules
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, eiscong, eiscong.cli; print({module!r} in sys.modules)"],
+         f"import sys, eiscong, eiscong.cli; print(*(m for m in {modules!r} if m in sys.modules))"],
         capture_output=True, text=True, env=fresh_env(), check=True,
     )
-    return proc.stdout.strip() == "True"
+    return proc.stdout.split()
 
 
 @pytest.mark.parametrize("module", ["numpy", "sympy"])
@@ -194,6 +195,12 @@ def test_package_imports_without_numpy(module):
 def test_package_imports_without_multiprocessing():
     # only a sweep with jobs > 1 starts a process pool
     assert not loaded_by_import("multiprocessing")
+
+
+def test_package_imports_without_dataclasses_datetime_or_csv():
+    # start-up that every command pays: records are named tuples (dataclasses
+    # loads inspect), timestamps come from `time`, and only CSV output loads csv
+    assert loaded_by_import("dataclasses", "inspect", "datetime", "csv") == []
 
 
 def test_submodules_are_not_shadowed_by_reexports():

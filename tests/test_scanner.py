@@ -4,7 +4,6 @@ import logging
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -343,7 +342,7 @@ def test_a_residue_above_the_bound_is_a_counterexample(tmp_path, monkeypatch, ca
     def refuted(spec, prefix, ell):
         report, window = scan(spec, prefix, ell)
         if ell == 23:
-            report = replace(report, method=METHOD_RIGOROUS, residues=(1,))
+            report = report._replace(method=METHOD_RIGOROUS, residues=(1,))
         return report, window
 
     monkeypatch.setattr(scanner, "_scan", refuted)
