@@ -8,7 +8,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import logging
 import os
@@ -131,15 +130,13 @@ def _emit(args, payload: dict, table_lines: list[str], csv_rows: list[dict] | No
         import csv  # only CSV output loads it
 
         rows = csv_rows if csv_rows is not None else [payload]
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(
                 {k: " ".join(map(str, v)) if isinstance(v, (list, tuple)) else v
                  for k, v in row.items()}
             )
-        print(buf.getvalue(), end="")
     else:
         for line in table_lines:
             print(line)
@@ -214,7 +211,7 @@ def _cmd_find_congruences(args):
         report = scan_prime(spec, ell)
     record = report_to_record(report, bound=theorem_bound(spec))
     lines = [f"{spec} mod {ell}: method={report.method}", _residues_field(report.residues)]
-    return record, lines, [record]
+    return record, lines
 
 
 def _cmd_verify_theorem(args):

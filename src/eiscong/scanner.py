@@ -14,12 +14,10 @@ import logging
 import math
 import os
 import time
-import types
 from collections import namedtuple
 from functools import partial
 from itertools import count, islice
 from pathlib import Path
-from typing import get_args
 
 from . import __version__
 from .eisenstein import (
@@ -49,10 +47,12 @@ log = logging.getLogger(__name__)
 RESULTS_DIR_ENV = "EISCONG_RESULTS_DIR"
 #: terms of the quotient the certificate scan reads before its whole window
 FIRST_WINDOW = 16
-#: every field of a results record, in record order, with its JSON type
+#: every field of a results record, in record order, with its exact JSON types
+#: (a bool is no int, a float no int); each entry of residues is an int
 RECORD_FIELDS = {
-    "r": int, "s": int, "t": int, "ell": int, "method": str, "residues": list[int],
-    "weight": int | None, "precision": int | None, "bound": int, "version": str,
+    "r": (int,), "s": (int,), "t": (int,), "ell": (int,), "method": (str,),
+    "residues": (list,), "weight": (int, type(None)), "precision": (int, type(None)),
+    "bound": (int,), "version": (str,),
 }
 
 
@@ -192,17 +192,6 @@ def report_to_record(report: CongruenceReport, bound: int) -> dict:
     return dict(zip(RECORD_FIELDS, values, strict=True))
 
 
-def _has_type(value, kind) -> bool:
-    # exact JSON types: a bool is no int, a float no int, and list[int] checks
-    # every entry
-    if type(kind) is type:
-        return type(value) is kind
-    if type(kind) is types.UnionType:
-        return any(_has_type(value, k) for k in get_args(kind))
-    (entry,) = get_args(kind)
-    return type(value) is list and all(type(x) is entry for x in value)
-
-
 def _sweep_could_write(record: dict, spec: QuotientSpec) -> bool:
     # a prime below PSI_12 (no sweep decides one above, where is_prime raises),
     # residues strictly increasing within 1..ell-1, so equal to a range just when
@@ -221,14 +210,8 @@ def _sweep_could_write(record: dict, spec: QuotientSpec) -> bool:
 
 
 def record_to_report(record: dict) -> CongruenceReport:
-    return CongruenceReport(
-        spec=QuotientSpec(record["r"], record["s"], record["t"]),
-        ell=record["ell"],
-        method=record["method"],
-        residues=tuple(record["residues"]),
-        weight=record["weight"],
-        precision=record["precision"],
-    )
+    r, s, t, ell, method, residues, weight, precision, _, _ = map(record.get, RECORD_FIELDS)
+    return CongruenceReport(QuotientSpec(r, s, t), ell, method, tuple(residues), weight, precision)
 
 
 class ScanResult(namedtuple("ScanResult", (
@@ -303,7 +286,8 @@ class ResultsCache:
                 if not (isinstance(record, dict) and all(k in record for k in RECORD_FIELDS)):
                     log.warning("skipping incomplete record at %s:%d", path, lineno)
                     continue
-                if not all(_has_type(record[k], kind) for k, kind in RECORD_FIELDS.items()):
+                if not (all(type(record[k]) in kinds for k, kinds in RECORD_FIELDS.items())
+                        and all(type(x) is int for x in record["residues"])):
                     log.warning("skipping mistyped record at %s:%d", path, lineno)
                     continue
                 if record["version"] != __version__ or (
@@ -416,11 +400,10 @@ def verify_theorem(
     )
     if cache is not None and missing:
         # the cached primes are on file already; append only this call's scans
-        fresh = set(missing)
         cache.put(
             result._replace(
-                reports=tuple(r for r in result.reports if r.ell in fresh),
-                sampled_above=tuple(r for r in result.sampled_above if r.ell in fresh),
+                reports=tuple(r for r in result.reports if r.ell not in on_file),
+                sampled_above=tuple(r for r in result.sampled_above if r.ell not in on_file),
             )
         )
     log.info(

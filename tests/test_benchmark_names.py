@@ -13,13 +13,13 @@ from pathlib import Path
 
 import eiscong.filtration
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer(monkeypatch):
-    # from its file, without writing bytecode into perfbench/
+def load_perfbench(monkeypatch, name):
+    # a module of perfbench/ from its file, without writing bytecode there
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -34,7 +34,7 @@ def bound(module_name, path):
 
 
 def test_the_tracer_wraps_every_target_and_restores_it(monkeypatch):
-    tracer = load_tracer(monkeypatch)
+    tracer = load_perfbench(monkeypatch, "tracer")
     targets = [(module, path) for module, path, _ in tracer.TARGETS]
     originals = [bound(*target) for target in targets]
     spans = tracer.Tracer()

@@ -251,30 +251,40 @@ def test_the_version_is_stated_once():
     assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "eiscong.__version__"}
 
 
-def test_verbose_tate_cycle_logs_the_cycle_and_its_filtration():
-    # a fresh interpreter, so that --verbose configures logging itself
-    proc = subprocess.run(
-        [sys.executable, "-m", "eiscong.cli", "--verbose", "tate-cycle",
-         "--r", "0", "--s", "-12", "--t", "1", "--ell", "17"],
-        capture_output=True, text=True, env=fresh_env(), check=True,
-    )
-    assert "eiscong.tate" in proc.stderr
-    assert "tate cycle mod 17: tagged weight 128, base filtration 128" in proc.stderr
-    assert "base filtration 128" in proc.stdout
+def test_verbose_tate_cycle_logs_the_cycle_and_its_filtration(capsys):
+    code, out, err = run(capsys, "--verbose", "tate-cycle",
+                         "--r", "0", "--s", "-12", "--t", "1", "--ell", "17")
+    assert code == 0
+    assert "eiscong.tate" in err
+    assert "tate cycle mod 17: tagged weight 128, base filtration 128" in err
+    assert "base filtration 128" in out
 
 
-def test_a_closed_output_pipe_is_no_error():
-    # as `eiscong ... | head -c 10`: the reader closes the pipe mid-output
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "eiscong.cli", "--output", "json", "expand",
-         "--r", "0", "--s", "1", "--t", "0", "--modulus", "7", "--terms", "200000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
-    )
+def read_ten_bytes_and_close(*argv):
+    # as `eiscong ... | head -c 10`: the reader closes the pipe mid-output;
+    # returns the command's stderr and exit code
+    proc = subprocess.Popen([sys.executable, "-m", "eiscong.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
     assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
     with proc.stderr:
-        assert proc.stderr.read() == b""
-    assert proc.wait() == 0
+        err = proc.stderr.read()
+    return err, proc.wait()
+
+
+def test_a_closed_output_pipe_is_no_error():
+    assert read_ten_bytes_and_close(
+        "--output", "json", "expand",
+        "--r", "0", "--s", "1", "--t", "0", "--modulus", "7", "--terms", "200000",
+    ) == (b"", 0)
+
+
+def test_a_closed_output_pipe_is_no_error_for_csv():
+    # CSV rows are written one by one, straight to stdout
+    assert read_ten_bytes_and_close(
+        "--output", "csv", "expand",
+        "--r", "0", "--s", "1", "--t", "0", "--modulus", "7", "--terms", "200000",
+    ) == (b"", 0)
 
 
 def test_verify_theorem_command(capsys, tmp_path):

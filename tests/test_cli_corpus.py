@@ -5,8 +5,8 @@ every file it writes or changes under the results directories.  The
 cases run in order in one temporary directory, so a sweep's second run
 reads the records its first run wrote.  Start and finish times and
 timings of the form `0.0123 s` are masked, and so is the temporary
-directory.  Cases with --verbose run in a fresh interpreter, so that the
-flag configures logging itself; the others run through `cli.main`.
+directory.  Every case runs through `cli.main` in this process, which
+logs each call at that call's own level to that call's stderr.
 
 The corpus changes only when an output is meant to change.  To rewrite
 it, run `PYTHONPATH=src python tests/test_cli_corpus.py`.
@@ -17,8 +17,6 @@ import json
 import os
 import re
 import shlex
-import subprocess
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -27,7 +25,6 @@ from eiscong.cli import main
 from eiscong.scanner import RESULTS_DIR_ENV
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 SPEC = "--r 0 --s -12 --t 1"
 WEIGHT_TEN = "--r 0 --s 1 --t 1"
@@ -103,13 +100,6 @@ def _in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _fresh_interpreter(argv):
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-m", "eiscong.cli", *argv],
-                          capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stdout, proc.stderr
-
-
 def _files(tmp):
     return {str(p.relative_to(tmp)): p.read_text(encoding="utf-8")
             for p in sorted(tmp.rglob("*")) if p.is_file()}
@@ -132,8 +122,7 @@ def run_corpus(tmp):
     for line in CASES:
         argv = shlex.split(line.replace("{tmp}", str(tmp)))
         before = _files(tmp)
-        run = _fresh_interpreter if "--verbose" in argv else _in_process
-        code, out, err = run(argv)
+        code, out, err = _in_process(argv)
         written = {name: _mask(text, tmp) for name, text in _files(tmp).items()
                    if before.get(name) != text}
         entries.append({"argv": line, "exit": code, "stdout": _mask(out, tmp),

@@ -3,8 +3,10 @@ import json
 import logging
 import math
 import random
+import types
 from collections import Counter
 from pathlib import Path
+from typing import get_args
 
 import pytest
 from sympy import isprime
@@ -446,6 +448,10 @@ def test_cache_skips_json_lines_that_are_not_records(tmp_path, caplog):
     "fields, kind",
     [(None, "corrupt"), ({"residues": 5}, "mistyped"), ({"ell": [5]}, "mistyped"),
      ({"residues": "24"}, "mistyped"), ({"ell": 5.0}, "mistyped"), ({"method": 7}, "mistyped"),
+     ({"r": True}, "mistyped"), ({"residues": [2, True]}, "mistyped"),
+     ({"residues": [2.0]}, "mistyped"), ({"weight": 1.5}, "mistyped"),
+     ({"precision": "29"}, "mistyped"), ({"bound": None}, "mistyped"),
+     ({"version": 2}, "mistyped"),
      ({"method": "bogus", "residues": [1, 2]}, "impossible"),
      ({"method": METHOD_HEURISTIC}, "impossible"), ({"residues": [2, 1]}, "impossible"),
      ({"residues": [3, 3]}, "impossible"), ({"residues": [0, 5]}, "impossible"),
@@ -454,6 +460,8 @@ def test_cache_skips_json_lines_that_are_not_records(tmp_path, caplog):
      ({"method": METHOD_THETA_VANISHING, "residues": [1]}, "impossible"),
      ({"precision": None}, "impossible")],
     ids=["not-utf-8", "residues-int", "ell-list", "residues-str", "ell-float", "method-int",
+         "r-bool", "residues-bool-entry", "residues-float-entry", "weight-float",
+         "precision-str", "bound-null", "version-int",
          "bogus-method-and-residues", "heuristic", "residues-descending", "residues-repeated",
          "residue-zero", "residue-ell", "trivial-above-3", "theta-vanishing-one-residue",
          "rigorous-unsized"],
@@ -484,6 +492,54 @@ def test_a_damaged_record_is_skipped_and_its_prime_scanned_afresh(
     # ell = 23 alone was scanned again, and its record appended
     appended = path.read_bytes().splitlines()[len(lines):]
     assert [json.loads(line) for line in appended] == [records[i]]
+
+
+#: the record check that `scanner.RECORD_FIELDS`'s tuples of exact types replaced:
+#: field types as `typing` constructs, read by a small interpreter
+OLD_RECORD_FIELDS = {
+    "r": int, "s": int, "t": int, "ell": int, "method": str, "residues": list[int],
+    "weight": int | None, "precision": int | None, "bound": int, "version": str,
+}
+
+
+def old_has_type(value, kind) -> bool:
+    # exact JSON types: a bool is no int, a float no int, and list[int] checks
+    # every entry
+    if type(kind) is type:
+        return type(value) is kind
+    if type(kind) is types.UnionType:
+        return any(old_has_type(value, k) for k in get_args(kind))
+    (entry,) = get_args(kind)
+    return type(value) is list and all(type(x) is entry for x in value)
+
+
+def test_the_type_check_agrees_with_the_typing_interpreter(tmp_path, caplog):
+    # 12000 records of a sweep with one to three fields replaced, each by a JSON
+    # value of any shape or, half the time, by that field of another record; a
+    # record is mistyped exactly where the old check rejects it
+    spec = QuotientSpec(0, 1, 1)
+    cache = ResultsCache(tmp_path)
+    sweep = verify_theorem(spec, use_remark=True, sample_above=2, cache=cache).to_records()
+    values = [True, False, 0, 7, 23, -3, 10**30, 1.0, 2.5, "29", "", "rigorous", None,
+              {}, {"a": 1}, [], [1, 2], [1, True], [2.0], [None], ["3"], [[1]]]
+    rng = random.Random(33)
+    records = []
+    for _ in range(12000):
+        fields = rng.sample(list(OLD_RECORD_FIELDS), rng.randint(1, 3))
+        records.append({**rng.choice(sweep), **{
+            k: rng.choice(values) if rng.random() < 0.5 else rng.choice(sweep)[k]
+            for k in fields
+        }})
+    cache.path_for(spec).write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    with caplog.at_level(logging.WARNING, logger="eiscong.scanner"):
+        cache.load(spec)
+    mistyped = {int(r.getMessage().rsplit(":", 1)[1]) for r in caplog.records
+                if r.getMessage().startswith("skipping mistyped record")}
+    rejected = {i for i, rec in enumerate(records, start=1)
+                if not all(old_has_type(rec[k], kind) for k, kind in OLD_RECORD_FIELDS.items())}
+    assert list(scanner.RECORD_FIELDS) == list(OLD_RECORD_FIELDS)
+    assert mistyped == rejected
+    assert 2000 < len(rejected) < 10000
 
 
 def test_every_record_a_scan_writes_is_served(tmp_path, caplog):
