@@ -21,7 +21,8 @@ polynomial at its tagged weight: the command line builds the lift's
 polynomial in closed form, and only a form given as a q-series is read
 off its expansion (`represent`).  From there each step is
 `theta().strip_a_tilde()`, whose weight is the filtration of the
-iterate, and the Fermat closure is an equality of polynomials; see
+iterate, and the Fermat closure is an equality of polynomials, checked
+with a few products by powers of A~ in place of k divisions by A~; see
 `eiscong.filtration`.
 """
 
@@ -39,7 +40,14 @@ from .eisenstein import (
     quotient_q_coefficient,
     quotient_series,
 )
-from .filtration import IsobaricPolynomial, ModularFormModEll, filtration_polynomial, sturm
+from .filtration import (
+    IsobaricPolynomial,
+    ModularFormModEll,
+    compute_a_tilde,
+    dense_product,
+    filtration_polynomial,
+    sturm,
+)
 from .primes import prime_factors
 from .series import PrecisionError, TruncatedSeries
 
@@ -105,13 +113,16 @@ def tate_cycle(
 
     The cycle starts from the form's polynomial in Q, R over F_ell, taken
     as given or, for a q-series, read off its expansion; theta then acts on
-    polynomials, and each iterate is divided by A~ while it divides
-    exactly, which leaves it at its filtration.  The iterate
-    after a filtration divisible by ell must drop by a positive multiple
-    of ell - 1, every other step must rise by exactly ell + 1, and the
-    cycle closes up by Fermat (theta^ell and theta reduce to the same
-    polynomial).  All three facts are re-verified and a violation
-    raises, since it can only mean a bug.  The rise and fall rules also
+    polynomials, and each of iterates 1, ..., ell - 1 is divided by A~
+    while it divides exactly, which leaves it at its filtration.  The
+    iterate after a filtration divisible by ell must drop by a positive
+    multiple of ell - 1, every other step must rise by exactly ell + 1,
+    and the cycle closes up by Fermat (theta^ell and theta reduce to the
+    same polynomial).  The closing step is not divided: theta of iterate
+    ell - 1 must equal A~^k times iterate 1, with k read off the weights,
+    and a few products by powers of A~ decide it (`_closing_divisions`).
+    All three facts are re-verified and a violation raises, since it can
+    only mean a bug.  The rise and fall rules also
     force one or two low points, which is why no check counts them.  The
     steps add up to zero round the cycle, so the falls k_i (ell - 1)
     after the high points have k_1 + ... = ell + 1; and ell - k_i or
@@ -128,7 +139,7 @@ def tate_cycle(
     iterate, divisions = filtration_polynomial(form)
     base = iterate.weight
     weights = []  # of the iterates 1, ..., ell, the ell-th closing the cycle
-    for step in range(ell):
+    for step in range(ell - 1):
         iterate, count = iterate.theta().strip_a_tilde()
         divisions += count
         weights.append(iterate.weight)
@@ -139,8 +150,11 @@ def tate_cycle(
                     "theta kills this form mod ell; the cycle is trivial and every "
                     "nonzero residue carries a congruence"
                 )
-    if iterate != first:
+    count = _closing_divisions(iterate.theta(), first)
+    if count is None:
         raise RuntimeError("theta iterates fail to close up after ell steps")
+    divisions += count
+    weights.append(first.weight)
     if base % ell and weights[0] != base + ell + 1:
         raise RuntimeError("first theta step must rise by ell + 1")
     highs, falls = [], []
@@ -171,6 +185,32 @@ def tate_cycle(
         low_points=tuple(i % (ell - 1) + 1 for i in highs),
         falls=tuple(falls),
     )
+
+
+def _closing_divisions(image: IsobaricPolynomial, first: IsobaricPolynomial) -> int | None:
+    """The k with image = A~^k first, or None when there is none.
+
+    k is read off the weights.  `first` is multiplied by A~^(2^i) for
+    each set bit i of k, the powers squared up from A~, so at most
+    2 k.bit_length() products decide the closure.  A~ does not
+    divide `first`, which sits at its filtration, so dividing the image
+    by A~ while it divides reaches `first` exactly when this returns k,
+    after k divisions.
+    """
+    ell = first.prime
+    k, rest = divmod(image.weight - first.weight, ell - 1)
+    if k < 0 or rest:
+        return None
+    coeffs, weight = first.coeffs, first.weight
+    square, square_weight = compute_a_tilde(ell).coeffs, ell - 1
+    for bit in reversed(bin(k)[2:]):  # from the lowest bit up
+        if bit == "1":
+            coeffs = dense_product(ell, weight, coeffs, square_weight, square)
+            weight += square_weight
+        if weight < image.weight:
+            square = dense_product(ell, square_weight, square, square_weight, square)
+            square_weight *= 2
+    return k if tuple(coeffs) == image.coeffs else None
 
 
 def certificate_terms(weight: int, ell: int) -> int:

@@ -11,11 +11,14 @@ solves that the closed forms replaced are kept as references too: E2 at
 weight ell + 1 (`solved_b_tilde`) for B~ = -D(A~), which theta reads,
 the constant 1 at weight ell - 1 (`solved_a_tilde`) for the
 hypergeometric A~, and the expanded lift at its weight for the lift's
-polynomial B~^r Q^(ell+s) R^(ell+t).
+polynomial B~^r Q^(ell+s) R^(ell+t).  The polynomial cycle that divides
+its closing image by A~ like every other iterate (`stripping_tate_cycle`)
+is the reference for the closing step's products by powers of A~.
 """
 
 import logging
 import random
+import re
 from operator import mul
 from typing import Sequence
 
@@ -87,6 +90,12 @@ def ladder_tate_cycle(form):
         filts.append(prev)
     if series.theta() != first:
         raise RuntimeError("theta iterates fail to close up after ell steps")
+    return checked_profile(form, base, filts)
+
+
+def checked_profile(form, base, filts):
+    """The profile of a cycle from its base filtration and filtrations, each rule checked."""
+    ell = form.prime
     if base % ell and filts[0] != base + ell + 1:
         raise RuntimeError("first theta step must rise by ell + 1")
     highs, lows, falls = [], [], []
@@ -402,8 +411,13 @@ def test_a_tilde_root_is_a_root_of_its_x_part():
 
 
 def count_strip_work(monkeypatch, spec, ell):
-    """Products and zero evaluations at the root inside `strip_a_tilde` over a cycle; divisions."""
-    counts = {"products": 0, "zeros": 0, "divisions": 0}
+    """Counts of the work in the lift's cycle.
+
+    strips counts the `strip_a_tilde` calls; products, zeros and divisions
+    the products, zero evaluations at the root and divisions inside them;
+    closing products the products of the closing step.
+    """
+    counts = {"strips": 0, "products": 0, "zeros": 0, "divisions": 0, "closing products": 0}
     inside = False
     product, horner, strip = dense_product, _horner, IsobaricPolynomial.strip_a_tilde
     _a_tilde_root(ell)  # found and cached before the evaluations are counted
@@ -417,8 +431,13 @@ def count_strip_work(monkeypatch, spec, ell):
         counts["zeros"] += inside and not value
         return value
 
+    def closing_product(*args):
+        counts["closing products"] += 1
+        return product(*args)
+
     def counted_strip(poly):
         nonlocal inside
+        counts["strips"] += 1
         inside = True
         try:
             lowered, count = strip(poly)
@@ -430,6 +449,7 @@ def count_strip_work(monkeypatch, spec, ell):
     with monkeypatch.context() as patch:
         patch.setattr("eiscong.filtration.dense_product", counted_product)
         patch.setattr("eiscong.filtration._horner", counted_horner)
+        patch.setattr("eiscong.tate.dense_product", closing_product)
         patch.setattr(IsobaricPolynomial, "strip_a_tilde", counted_strip)
         tate_cycle(_lift_polynomial(spec, ell))
     return counts
@@ -451,7 +471,22 @@ def test_strip_a_tilde_makes_no_product_and_each_zero_at_the_root_divides(
     # without a root every attempt runs the recurrence, and the same ones divide
     monkeypatch.setattr("eiscong.filtration._a_tilde_root", lambda ell: None)
     fallback = count_strip_work(monkeypatch, spec, ell)
-    assert fallback == {"products": 0, "zeros": 0, "divisions": counts["divisions"]}
+    assert fallback == {**counts, "zeros": 0}
+
+
+@pytest.mark.parametrize(
+    "spec, ell", [(QuotientSpec(0, -12, 1), 101), (QuotientSpec(0, 0, -2), 53)]
+)
+def test_a_cycle_strips_ell_times_and_closes_in_few_products(monkeypatch, spec, ell):
+    filtrations = tate_cycle(_lift_polynomial(spec, ell)).filtrations
+    # the closing step's fall, from iterate ell - 1 back to iterate 1
+    k = (filtrations[-1] + ell + 1 - filtrations[0]) // (ell - 1)
+    counts = count_strip_work(monkeypatch, spec, ell)
+    # the base filtration and iterates 1, ..., ell - 1; the closing image is
+    # not stripped but matched against A~^k times iterate 1
+    assert counts["strips"] == ell
+    assert k > 1
+    assert 0 < counts["closing products"] <= 2 * k.bit_length() + 1
 
 
 def test_cycles_without_the_pre_test_give_the_same_profiles(monkeypatch):
@@ -461,6 +496,66 @@ def test_cycles_without_the_pre_test_give_the_same_profiles(monkeypatch):
     profiles = [tate_cycle(_lift_polynomial(spec, ell)) for spec, ell in cases]
     monkeypatch.setattr("eiscong.filtration._a_tilde_root", lambda ell: None)
     assert [tate_cycle(_lift_polynomial(spec, ell)) for spec, ell in cases] == profiles
+
+
+def stripping_tate_cycle(form):
+    """Reference cycle on polynomials: the profile, and the divisions by A~ that reached it.
+
+    Each of the ell theta steps after the base is divided by A~ while it
+    divides, the closing one too, and the cycle closes when the ell-th
+    quotient equals the first.
+    """
+    ell = form.prime
+    iterate, divisions = filtration_polynomial(form)
+    base = iterate.weight
+    iterates = []
+    for _ in range(ell):
+        iterate, count = iterate.theta().strip_a_tilde()
+        divisions += count
+        iterates.append(iterate)
+    if not any(iterates[0].coeffs):
+        raise ValueError("theta kills this form mod ell")
+    if iterates[-1] != iterates[0]:
+        raise RuntimeError("theta iterates fail to close up after ell steps")
+    return checked_profile(form, base, [p.weight for p in iterates[:-1]]), divisions
+
+
+def logged_tate_cycle(caplog, form):
+    """`tate_cycle`'s profile and the divisions by A~ its INFO line logs."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="eiscong"):
+        profile = tate_cycle(form)
+    [line] = [r.getMessage() for r in caplog.records if r.name == "eiscong.tate"]
+    return profile, int(re.search(r"(\d+) divisions by A~", line).group(1))
+
+
+def test_the_closing_product_matches_stripping_the_closing_image(caplog):
+    # theta kills the lifts of 1/E4 mod 5 and E4 E6 mod 11; two forms are
+    # q-series, the second at a prime 3 mod 4
+    forms = [_lift_polynomial(QuotientSpec(0, -1, 0), 5),
+             _lift_polynomial(QuotientSpec(0, 1, 1), 11)]
+    for spec, ell in ((QuotientSpec(0, -12, 1), 17), (QuotientSpec(1, 0, -1), 23)):
+        lift = replacement_lift(spec, ell, profile_precision(spec, ell))
+        forms.append(ModularFormModEll.from_lift(lift))
+    # four seeded lifts at each prime below 100: 5, 7 and 11, where A~'s
+    # x-part has no root, and the primes 3 mod 4, where A~ has an odd R-exponent
+    rng = random.Random(5)
+    for ell in primerange(5, 100):
+        specs = []
+        while len(specs) < 4:
+            spec = QuotientSpec(rng.randrange(3), rng.randrange(-12, 13), rng.randrange(-12, 13))
+            if admits_lift(spec, ell):
+                specs.append(spec)
+        forms += [_lift_polynomial(spec, ell) for spec in specs]
+    closing = [outcome(lambda f: logged_tate_cycle(caplog, f), form) for form in forms]
+    stripping = [outcome(stripping_tate_cycle, form) for form in forms]
+    assert closing == stripping
+    assert stripping[:2] == [ValueError, ValueError]
+    profiles = [result[0] for result in stripping if result is not ValueError]
+    # falls at the closing step and mid-cycle, and closing steps that rise
+    assert any(p.high_points[-1] == p.prime - 1 for p in profiles)
+    assert any(p.high_points[-1] != p.prime - 1 for p in profiles)
+    assert any(p.high_points[0] < p.prime - 1 for p in profiles)
 
 
 def test_a_tilde_has_a_unit_coefficient_at_the_lowest_r_exponent():

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from sympy import primerange
 
-from eiscong import eisenstein, scanner
+from eiscong import eisenstein, scanner, tate
 from eiscong.eisenstein import (
     QuotientSpec,
     admits_lift,
@@ -114,22 +114,31 @@ def test_cycle_rejects_theta_killed_forms():
         tate_cycle(form)
 
 
+def monomial(ell, weight, c=1):
+    """A nonzero polynomial of the weight mod ell: c times its first monomial."""
+    return IsobaricPolynomial(ell, weight, (c,) + (0,) * (dense_layout(weight)[2] - 1))
+
+
 def monomial_mod_5(weight, c=1):
-    """A nonzero polynomial of the weight mod 5: c times its first monomial."""
-    return IsobaricPolynomial(5, weight, (c,) + (0,) * (dense_layout(weight)[2] - 1))
+    return monomial(5, weight, c)
 
 
 def scripted_cycle(monkeypatch, base, weights, closing=1):
     """`tate_cycle` mod 5 from a polynomial of weight `base`, its iterates scripted.
 
     `strip_a_tilde` is wrapped to return the base itself (the call that
-    finds the base filtration), then one polynomial per listed weight, and
-    then, as the closing step, the first iterate's monomial times `closing`.
+    finds the base filtration), then one polynomial per listed weight.  The
+    closing step, `_closing_divisions`, is wrapped to take the first
+    iterate's monomial times `closing` as the stripped closing image: it
+    closes, with no division, exactly when that equals the first iterate.
     """
     first = monomial_mod_5(weights[0])
-    steps = iter([monomial_mod_5(base), first, *map(monomial_mod_5, weights[1:]),
-                  monomial_mod_5(weights[0], closing)])
+    steps = iter([monomial_mod_5(base), first, *map(monomial_mod_5, weights[1:])])
+    last = monomial_mod_5(weights[0], closing)
     monkeypatch.setattr(IsobaricPolynomial, "strip_a_tilde", lambda self: (next(steps), 0))
+    monkeypatch.setattr(
+        tate, "_closing_divisions", lambda image, first: 0 if last == first else None
+    )
     return tate_cycle(monomial_mod_5(base))
 
 
@@ -185,6 +194,47 @@ def test_the_rise_and_fall_rules_leave_one_or_two_low_points(monkeypatch):
     for profile in profiles:
         if len(profile.low_points) == 1:
             assert profile.filtrations[profile.low_points[0] - 1] % 5 == 2
+
+
+def cycle_with_closing_image(monkeypatch, spec, ell, change):
+    """`tate_cycle` of the lift's polynomial, theta's ell-th image (the closing one) changed."""
+    theta, calls = IsobaricPolynomial.theta, itertools.count(1)
+
+    def patched(self):
+        image = theta(self)
+        return change(image) if next(calls) == ell else image
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IsobaricPolynomial, "theta", patched)
+        return tate_cycle(_lift_polynomial(spec, ell))
+
+
+def test_the_closing_cases_below_close_on_a_fall_and_on_a_rise():
+    # E6/E4^12 mod 17 closes with a fall of 9 (high point 16), and 1/E4
+    # mod 19 with a rise (its iterate 18 is no high point)
+    assert tate_cycle(_lift_polynomial(EXAMPLE, 17)).high_points[-1] == 16
+    assert tate_cycle(_lift_polynomial(QuotientSpec(0, -1, 0), 19)).high_points == (4, 17)
+
+
+@pytest.mark.parametrize(
+    "spec, ell, change",
+    [(EXAMPLE, 17, "coefficient"), (QuotientSpec(0, -1, 0), 19, "coefficient"),
+     (EXAMPLE, 17, "k < 0"), (QuotientSpec(0, -1, 0), 19, "k < 0"),
+     (EXAMPLE, 17, "k not an integer")],
+)
+def test_a_changed_closing_image_fails_to_close_up(monkeypatch, spec, ell, change):
+    # one coefficient of the closing image moved, or a closing image of the
+    # first iterate's weight less ell - 1, or 2 more (ell - 1 does not divide 2)
+    first_weight = tate_cycle(_lift_polynomial(spec, ell)).filtrations[0]
+    changes = {
+        "coefficient": lambda p: IsobaricPolynomial(ell, p.weight, ((p.coeffs[0] + 1) % ell,
+                                                                     *p.coeffs[1:])),
+        "k < 0": lambda p: monomial(ell, first_weight - (ell - 1)),
+        "k not an integer": lambda p: monomial(ell, first_weight + 2),
+    }
+    assert cycle_with_closing_image(monkeypatch, spec, ell, lambda p: p).prime == ell
+    with pytest.raises(RuntimeError, match="^theta iterates fail to close up after ell steps$"):
+        cycle_with_closing_image(monkeypatch, spec, ell, changes[change])
 
 
 # ---------------------------------------------------------------------------
