@@ -28,14 +28,17 @@ B~ = -D(A~) as polynomials (`_b_tilde`, formed once per prime).
 `IsobaricPolynomial` has one format, dense: a weight-k polynomial is
 the tuple of its coefficients on Q^(a0 - 3j) R^(b0 + 2j), j = 0, 1, ...,
 with b0 in {0, 1} fixed by k mod 4 (see `dense_layout`).  A product is
-one Kronecker product of coefficient lists (`series._convolve`).  A~
-vanishes at the supersingular points, so where its x-part has a root x0
-in F_ell, a polynomial whose x-part is nonzero at x0 is not divisible by
+one Kronecker product of coefficient lists (`series._convolve`), and so
+is theta: F and D(F) share one list, in alternate slots.  A~ vanishes
+at the supersingular points, so where its x-part has a root x0 in
+F_ell, a polynomial whose x-part is nonzero at x0 is not divisible by
 A~: one evaluation rules the division out.  Otherwise, since R^2 never
-divides A~, division by A~ reads each quotient coefficient off from the
-lowest R-exponent up, through the polynomial's last coefficient, and
-the division is exact when every coefficient that falls outside the
-quotient's layout vanishes.
+divides A~, the x-part of each power A~^j has a unit constant term, and
+division by A~^j is one product by its power-series inverse, cached per
+prime, through the polynomial's last coefficient; the division is exact
+when every coefficient that falls outside the quotient's layout
+vanishes.  The number of divisions is found by galloping over
+j = 1, 2, 4, ..., so a fall by k costs O(log k) products.
 """
 
 from __future__ import annotations
@@ -44,12 +47,11 @@ import logging
 import time
 from collections import namedtuple
 from functools import lru_cache
-from operator import mul
 from typing import Sequence
 
 from .eisenstein import QuotientSpec, eisenstein_power_product, lift_exponents, require_lift
 from .primes import require_prime
-from .series import PrecisionError, TruncatedSeries, _convolve, _divide, _format_sum
+from .series import PrecisionError, TruncatedSeries, _convolve, _divide, _format_sum, _newton
 
 log = logging.getLogger(__name__)
 
@@ -169,16 +171,26 @@ class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "prime weight coeffs")
     def theta(self) -> "IsobaricPolynomial":
         """The polynomial of the theta image, of weight weight + prime + 1.
 
-        12 theta(F) = k B~ F - A~ D(F), with B~ = -D(A~) (see the module
-        docstring).
+        theta(F) = B' F + A' D(F), with B' = (k/12) B~ and A' = -A~/12,
+        B~ = -D(A~) (see the module docstring), is one Kronecker product:
+        F and D(F) fill the even and odd slots of one list, A' and B' the
+        even and odd slots of another, and the odd slots of their product
+        are theta(F).  The layout shift of the product by B~ or by A~
+        (`dense_product`) moves the slots of F or of D(F) up by one pair.
         """
-        ell, weight = self.prime, self.weight
-        a = compute_a_tilde(ell).coeffs
-        bf = dense_product(ell, ell + 1, _b_tilde(ell), weight, self.coeffs)
-        ad = dense_product(ell, ell - 1, a, weight + 2, _derivative(ell, weight, self.coeffs))
-        inv12 = pow(12, -1, ell)
-        coeffs = tuple((weight * x - y) * inv12 % ell for x, y in zip(bf, ad))
-        return IsobaricPolynomial._of_residues(ell, weight + ell + 1, coeffs)
+        ell, weight, coeffs = self.prime, self.weight, self.coeffs
+        d = _derivative(ell, weight, coeffs)
+        f_shift = dense_layout(weight)[1] & dense_layout(ell + 1)[1]
+        d_shift = dense_layout(weight + 2)[1] & dense_layout(ell - 1)[1]
+        u = [0] * (2 * max(f_shift + len(coeffs), d_shift + len(d)))
+        u[2 * f_shift : 2 * (f_shift + len(coeffs)) : 2] = coeffs
+        u[2 * d_shift + 1 : 2 * (d_shift + len(d)) : 2] = d
+        factors, b12 = _theta_factors(ell)
+        v = list(factors)
+        v[1 : 2 * len(b12) : 2] = [weight * x % ell for x in b12]
+        length = dense_layout(weight + ell + 1)[2]
+        image = _convolve(u, v, ell, 2 * length)[1::2] + [0] * length
+        return IsobaricPolynomial._of_residues(ell, weight + ell + 1, tuple(image[:length]))
 
     def strip_a_tilde(self) -> tuple["IsobaricPolynomial", int]:
         """Divide by A~ while it divides exactly; the quotient and the number of divisions.
@@ -187,34 +199,23 @@ class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "prime weight coeffs")
         in x = R^2 / Q^3, and A~ is Q^a R^b g(x).  If A~ divides, f is
         x^e g h with e in {0, 1} (R R = Q^3 x), so f vanishes at every root
         x0 of g in F_ell (`_a_tilde_root`): a nonzero f(x0) proves that A~
-        does not divide, at the cost of one evaluation.  Otherwise f / x^e
-        is divided by g as a power series, coefficient by coefficient from
-        the lowest R-exponent up, through f's last coefficient.  Since g's
-        constant term is a unit (R^2 never divides A~), that quotient is
-        a polynomial on the quotient weight's layout exactly when g
-        divides, so A~ divides exactly when f's entry below x^e and every
-        quotient coefficient past the layout's length vanish.  By
-        Swinnerton-Dyer, for the polynomial of a nonzero form at any weight
-        the quotient sits at the form's filtration.
+        does not divide, at the cost of one evaluation.  Past that test
+        the number of divisions is found by galloping: A~^j is tried for
+        j = 1, 2, 4, ... while it divides, then for the halves of the last
+        j down to 1, the evaluation first each time, so a fall by k takes
+        at most 2 k.bit_length() + 1 trials (`_a_tilde_power_quotient`).
+        By Swinnerton-Dyer, for the polynomial of a nonzero form at any
+        weight the quotient sits at the form's filtration.
         """
         ell = self.prime
-        d = compute_a_tilde(ell).coeffs
-        top, inv = len(d) - 1, pow(d[0], -1, ell)
-        high = d[:0:-1]  # d[top], ..., d[1]
         root = _a_tilde_root(ell)
-        poly, count = self, 0
-        while (weight := poly.weight - (ell - 1)) >= 0:
-            if root is not None and _horner(poly.coeffs, root, ell):
-                break
-            _, b0, length = dense_layout(weight)
-            shift = b0 & dense_layout(ell - 1)[1]
-            q = [0] * top  # q[top + n] is the power-series quotient's coefficient n
-            for n, c in enumerate(poly.coeffs[shift:]):
-                q.append((c - sum(map(mul, q[n : n + top], high))) * inv % ell)
-            if any(poly.coeffs[:shift]) or any(q[top + length :]):
-                break
-            q = tuple(q[top : top + length])
-            poly, count = IsobaricPolynomial._of_residues(ell, weight, q), count + 1
+        poly, count, i, rising = self, 0, 0, True
+        while i >= 0 and (root is None or not _horner(poly.coeffs, root, ell)):
+            quotient = _a_tilde_power_quotient(poly, i)
+            if quotient is not None:
+                poly, count = quotient, count + (1 << i)
+            rising = rising and quotient is not None
+            i += 1 if rising else -1
         return poly, count
 
     def __str__(self):
@@ -289,12 +290,18 @@ def dense_product(
 def _derivative(ell: int, weight: int, coeffs: Sequence[int]) -> list[int]:
     """Dense coefficients mod ell of D(F) = 4R dF/dQ + 6Q^2 dF/dR, of weight weight + 2."""
     a0, b0, _ = dense_layout(weight)
-    # entry j of D takes Q^(a0 - 3i) R^(b0 + 2i) from i = j - b0 (4R dF/dQ)
-    # and i = j + 1 - b0 (6Q^2 dF/dR); h[i + 1] is coefficient i, 0 outside
+    length = dense_layout(weight + 2)[2]
+    # entry j of D takes Q^(a0 - 3i) R^(b0 + 2i) from i = j - b0 (4R dF/dQ,
+    # times 4(a0 - 3i)) and i = j + 1 - b0 (6Q^2 dF/dR, times 6(b0 + 2i)),
+    # two progressions in j; h[i + 1] is coefficient i, 0 outside
     h = [0, *coeffs, 0]
+    top, low = 4 * (a0 + 3 * b0), 6 * (2 - b0)
     return [
-        (4 * (a0 - 3 * (j - b0)) * h[j + 1 - b0] + (12 * (j + 1) - 6 * b0) * h[j + 2 - b0]) % ell
-        for j in range(dense_layout(weight + 2)[2])
+        (x * s + y * t) % ell
+        for x, s, y, t in zip(
+            h[1 - b0 :], range(top, top - 12 * length, -12),
+            h[2 - b0 :], range(low, low + 12 * length, 12),
+        )
     ]
 
 
@@ -366,6 +373,65 @@ def compute_a_tilde(ell: int) -> IsobaricPolynomial:
 def _b_tilde(ell: int) -> tuple[int, ...]:
     """Dense coefficients of B~ = -D(A~), the weight ell + 1 polynomial of value E2."""
     return tuple(-x % ell for x in _derivative(ell, ell - 1, compute_a_tilde(ell).coeffs))
+
+
+@lru_cache(maxsize=None)
+def _theta_factors(ell: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """-A~/12 in the even slots of a list whose odd slots take (k/12) B~, and B~/12."""
+    inv12 = pow(12, -1, ell)
+    a = [-x * inv12 % ell for x in compute_a_tilde(ell).coeffs]
+    b = tuple(x * inv12 % ell for x in _b_tilde(ell))
+    slots = [0] * (2 * max(len(a), len(b)))
+    slots[: 2 * len(a) : 2] = a
+    return tuple(slots), b
+
+
+@lru_cache(maxsize=None)
+def _a_tilde_power(ell: int, i: int) -> tuple[int, ...]:
+    """Dense coefficients of A~^(2^i), of weight 2^i (ell - 1), squared up from A~."""
+    if not i:
+        return compute_a_tilde(ell).coeffs
+    half, weight = _a_tilde_power(ell, i - 1), (ell - 1) << (i - 1)
+    return tuple(dense_product(ell, weight, half, weight, half))
+
+
+@lru_cache(maxsize=None)
+def _a_tilde_inverse(ell: int, i: int, n: int) -> tuple[int, ...]:
+    """The first n coefficients of the power series 1 / g^(2^i), g the x-part of A~.
+
+    n is a power of two, so that one inverse serves every shorter length;
+    each is the square of the one before, from Newton's inverse of g.
+    """
+    if i:
+        half = _a_tilde_inverse(ell, i - 1, n)
+        return tuple(_convolve(half, half, ell, n))
+    g = compute_a_tilde(ell).coeffs
+    return tuple(_newton(g + (0,) * n, pow(g[0], -1, ell), ell, n))
+
+
+def _a_tilde_power_quotient(poly: IsobaricPolynomial, i: int) -> IsobaricPolynomial | None:
+    """poly / A~^j for j = 2^i, or None unless A~^j divides poly exactly.
+
+    On its layout A~^j is g^j after leading zeros, which appear when A~
+    has an odd R-exponent, g being A~'s x-part.  So when A~^j divides
+    poly, of x-part f, f is x^e g^j h, with e read off the three layouts'
+    R-exponents.  g^j has a unit constant term (R^2 never divides A~), so
+    h is f / x^e times the power series 1 / g^j, through f's last
+    coefficient; A~^j divides exactly when f's entries below x^e and
+    every entry of that product past the quotient weight's layout vanish.
+    """
+    ell, j = poly.prime, 1 << i
+    weight = poly.weight - j * (ell - 1)
+    if weight < 0:
+        return None
+    _, b0, length = dense_layout(weight)
+    e = (j * dense_layout(ell - 1)[1] + b0 - dense_layout(poly.weight)[1]) // 2
+    tail = poly.coeffs[e:]
+    inverse = _a_tilde_inverse(ell, i, 1 << (len(tail) - 1).bit_length())
+    quotient = _convolve(tail, inverse, ell, len(tail)) + [0] * length
+    if any(poly.coeffs[:e]) or any(quotient[length:]):
+        return None
+    return IsobaricPolynomial._of_residues(ell, weight, tuple(quotient[:length]))
 
 
 @lru_cache(maxsize=None)

@@ -21,8 +21,9 @@ polynomial at its tagged weight: the command line builds the lift's
 polynomial in closed form, and only a form given as a q-series is read
 off its expansion (`represent`).  From there each step is
 `theta().strip_a_tilde()`, whose weight is the filtration of the
-iterate, and the Fermat closure is an equality of polynomials, checked
-with a few products by powers of A~ in place of k divisions by A~; see
+iterate: one product for theta, and O(log k) products for a fall by k.
+The Fermat closure is an equality of polynomials, checked with one
+product by each cached power A~^(2^i) that the closing fall k needs; see
 `eiscong.filtration`.
 """
 
@@ -43,7 +44,7 @@ from .eisenstein import (
 from .filtration import (
     IsobaricPolynomial,
     ModularFormModEll,
-    compute_a_tilde,
+    _a_tilde_power,
     dense_product,
     filtration_polynomial,
     sturm,
@@ -190,26 +191,23 @@ def tate_cycle(
 def _closing_divisions(image: IsobaricPolynomial, first: IsobaricPolynomial) -> int | None:
     """The k with image = A~^k first, or None when there is none.
 
-    k is read off the weights.  `first` is multiplied by A~^(2^i) for
-    each set bit i of k, the powers squared up from A~, so at most
-    2 k.bit_length() products decide the closure.  A~ does not
-    divide `first`, which sits at its filtration, so dividing the image
-    by A~ while it divides reaches `first` exactly when this returns k,
-    after k divisions.
+    k is read off the weights.  `first` is multiplied by the cached
+    A~^(2^i) (`_a_tilde_power`) for each set bit i of k, so at most
+    k.bit_length() products decide the closure.  A~ does not divide
+    `first`, which sits at its filtration, so dividing the image by A~
+    while it divides reaches `first` exactly when this returns k, after
+    k divisions.
     """
     ell = first.prime
     k, rest = divmod(image.weight - first.weight, ell - 1)
     if k < 0 or rest:
         return None
     coeffs, weight = first.coeffs, first.weight
-    square, square_weight = compute_a_tilde(ell).coeffs, ell - 1
-    for bit in reversed(bin(k)[2:]):  # from the lowest bit up
-        if bit == "1":
-            coeffs = dense_product(ell, weight, coeffs, square_weight, square)
-            weight += square_weight
-        if weight < image.weight:
-            square = dense_product(ell, square_weight, square, square_weight, square)
-            square_weight *= 2
+    for i in range(k.bit_length()):
+        if k >> i & 1:
+            power_weight = (ell - 1) << i
+            coeffs = dense_product(ell, weight, coeffs, power_weight, _a_tilde_power(ell, i))
+            weight += power_weight
     return k if tuple(coeffs) == image.coeffs else None
 
 

@@ -6,14 +6,17 @@ ladder of solves, the cycle by theta on q-series and one ladder per
 iterate.  The schoolbook product of dense polynomials is kept as the
 reference for `dense_product`, which is one Kronecker product, and the
 long division `dense_quotient` (from the highest R-exponent down) as the
-reference for `strip_a_tilde`, which divides from the lowest up.  The
-solves that the closed forms replaced are kept as references too: E2 at
-weight ell + 1 (`solved_b_tilde`) for B~ = -D(A~), which theta reads,
-the constant 1 at weight ell - 1 (`solved_a_tilde`) for the
-hypergeometric A~, and the expanded lift at its weight for the lift's
-polynomial B~^r Q^(ell+s) R^(ell+t).  The polynomial cycle that divides
-its closing image by A~ like every other iterate (`stripping_tate_cycle`)
-is the reference for the closing step's products by powers of A~.
+reference for `strip_a_tilde`, which divides by powers of A~ through
+power-series inverses.  Theta as two products, by B~ and by A~, and a
+combination of the two (`two_product_theta`) is the reference for
+theta's one product.  The solves that the closed forms replaced are
+kept as references too: E2 at weight ell + 1 (`solved_b_tilde`) for
+B~ = -D(A~), which theta reads, the constant 1 at weight ell - 1
+(`solved_a_tilde`) for the hypergeometric A~, and the expanded lift at
+its weight for the lift's polynomial B~^r Q^(ell+s) R^(ell+t).  The
+polynomial cycle that divides its closing image by A~ like every other
+iterate (`stripping_tate_cycle`) is the reference for the closing
+step's products by powers of A~.
 """
 
 import logging
@@ -29,6 +32,7 @@ from eiscong.eisenstein import QuotientSpec, admits_lift, eisenstein_series, rep
 from eiscong.filtration import (
     IsobaricPolynomial,
     ModularFormModEll,
+    _a_tilde_power_quotient,
     _a_tilde_root,
     _horner,
     _lift_polynomial,
@@ -213,6 +217,47 @@ def test_theta_of_a_constant_is_zero():
     assert IsobaricPolynomial(13, 0, (1,)).theta().terms == ()
 
 
+def reference_derivative(ell, weight, coeffs):
+    """Reference for `_derivative`: D(F) = 4R dF/dQ + 6Q^2 dF/dR, entry by entry."""
+    a0, b0, _ = dense_layout(weight)
+    h = [0, *coeffs, 0]
+    return [
+        (4 * (a0 - 3 * (j - b0)) * h[j + 1 - b0] + (12 * (j + 1) - 6 * b0) * h[j + 2 - b0]) % ell
+        for j in range(dense_layout(weight + 2)[2])
+    ]
+
+
+def two_product_theta(poly):
+    """Reference for `theta`: 12 theta(F) = k B~ F - A~ D(F) as two products and a combination."""
+    ell, weight = poly.prime, poly.weight
+    a_tilde = compute_a_tilde(ell).coeffs
+    b_tilde = [-c % ell for c in reference_derivative(ell, ell - 1, a_tilde)]
+    d = reference_derivative(ell, weight, poly.coeffs)
+    bf = dense_product(ell, ell + 1, b_tilde, weight, poly.coeffs)
+    ad = dense_product(ell, ell - 1, a_tilde, weight + 2, d)
+    inv12 = pow(12, -1, ell)
+    coeffs = tuple((weight * x - y) * inv12 % ell for x, y in zip(bf, ad))
+    return IsobaricPolynomial(ell, weight + ell + 1, coeffs)
+
+
+def test_theta_matches_two_products_at_every_prime_below_200():
+    rng = random.Random(12)
+    mismatches, parities = [], set()
+    for ell in primerange(5, 200):
+        # weights 0 and 2 (an empty layout), both R-parities, and multiples
+        # of ell, where the product by B~ drops out
+        weights = [0, 2, 4, 6, ell - 1, ell + 1, 2 * ell, 4 * ell]
+        weights += [rng.randrange(0, 12 * ell, 2) for _ in range(6)]
+        for weight in weights:
+            coeffs = tuple(rng.randrange(ell) for _ in range(dense_layout(weight)[2]))
+            poly = IsobaricPolynomial(ell, weight, coeffs)
+            parities.add(weight % 4)
+            if poly.theta() != two_product_theta(poly):
+                mismatches.append((ell, weight))
+    assert parities == {0, 2}
+    assert mismatches == []
+
+
 def test_dense_round_trip():
     poly = compute_a_tilde(37)
     a0, b0, length = dense_layout(poly.weight)
@@ -383,6 +428,34 @@ def test_strip_a_tilde_matches_long_division(ell):
     assert mismatches == []
 
 
+#: falls on both sides of each power of two that the galloping search meets
+LONG_FALLS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33)
+
+
+# 5, 7 and 11 have no root of A~'s x-part, 19, 23 and 31 are 3 mod 4 (A~ has
+# an odd R-exponent), and 29 and 101 are neither
+@pytest.mark.parametrize("ell", [5, 7, 11, 19, 23, 29, 31, 101])
+def test_strip_a_tilde_matches_long_division_on_long_falls(ell):
+    rng = random.Random(ell)
+    a_tilde = compute_a_tilde(ell).coeffs
+    # h of weights 0 to 6 (weight 2 is the zero polynomial), both R-parities
+    weights = [0, 2, 4, 6] + [rng.randrange(8, 12 * ell, 2) for _ in range(4)]
+    cases = []
+    for weight in weights:
+        coeffs = tuple(rng.randrange(ell) for _ in range(dense_layout(weight)[2]))
+        poly = IsobaricPolynomial(ell, weight, coeffs)
+        for k in range(1, LONG_FALLS[-1] + 1):
+            coeffs = dense_product(ell, poly.weight, poly.coeffs, ell - 1, a_tilde)
+            poly = IsobaricPolynomial(ell, poly.weight + ell - 1, tuple(coeffs))
+            if k in LONG_FALLS:
+                cases.append((k, poly))
+    assert {poly.weight % 4 for _, poly in cases} == {0, 2}
+    results = [poly.strip_a_tilde() for _, poly in cases]
+    assert results == [long_division_strip(poly) for _, poly in cases]
+    # every fall length is met exactly, where A~ does not divide h
+    assert {k for (k, _), (_, count) in zip(cases, results) if count == k} == set(LONG_FALLS)
+
+
 @pytest.mark.parametrize("ell", [5, 7, 13, 31])
 def test_internal_builders_pass_the_checked_constructor(ell):
     # represent, theta and strip_a_tilde skip the constructor's checks; each
@@ -411,48 +484,50 @@ def test_a_tilde_root_is_a_root_of_its_x_part():
 
 
 def count_strip_work(monkeypatch, spec, ell):
-    """Counts of the work in the lift's cycle.
+    """The work of the lift's cycle: each strip's counts, and the closing step's products.
 
-    strips counts the `strip_a_tilde` calls; products, zeros and divisions
-    the products, zero evaluations at the root and divisions inside them;
-    closing products the products of the closing step.
+    Each `strip_a_tilde` call gives [divisions, trials, unvetted]: a trial
+    is one division by a power of A~ (`_a_tilde_power_quotient`), and it
+    is unvetted unless the evaluation at the root of A~'s x-part ran
+    since the last trial and gave zero.
     """
-    counts = {"strips": 0, "products": 0, "zeros": 0, "divisions": 0, "closing products": 0}
-    inside = False
-    product, horner, strip = dense_product, _horner, IsobaricPolynomial.strip_a_tilde
+    strips, closing = [], []
+    last = None  # the latest evaluation at the root since the last trial
+    quotient, horner = _a_tilde_power_quotient, _horner
+    strip, product = IsobaricPolynomial.strip_a_tilde, dense_product
     _a_tilde_root(ell)  # found and cached before the evaluations are counted
 
-    def counted_product(*args):
-        counts["products"] += inside
-        return product(*args)
+    def counted_quotient(poly, i):
+        nonlocal last
+        strips[-1][1] += 1
+        strips[-1][2] += last != 0
+        last = None
+        return quotient(poly, i)
 
     def counted_horner(*args):
-        value = horner(*args)
-        counts["zeros"] += inside and not value
-        return value
-
-    def closing_product(*args):
-        counts["closing products"] += 1
-        return product(*args)
+        nonlocal last
+        last = horner(*args)
+        return last
 
     def counted_strip(poly):
-        nonlocal inside
-        counts["strips"] += 1
-        inside = True
-        try:
-            lowered, count = strip(poly)
-        finally:
-            inside = False
-        counts["divisions"] += count
+        nonlocal last
+        strips.append([0, 0, 0])
+        last = None
+        lowered, count = strip(poly)
+        strips[-1][0] = count
         return lowered, count
 
+    def closing_product(*args):
+        closing.append(args)
+        return product(*args)
+
     with monkeypatch.context() as patch:
-        patch.setattr("eiscong.filtration.dense_product", counted_product)
+        patch.setattr("eiscong.filtration._a_tilde_power_quotient", counted_quotient)
         patch.setattr("eiscong.filtration._horner", counted_horner)
-        patch.setattr("eiscong.tate.dense_product", closing_product)
         patch.setattr(IsobaricPolynomial, "strip_a_tilde", counted_strip)
+        patch.setattr("eiscong.tate.dense_product", closing_product)
         tate_cycle(_lift_polynomial(spec, ell))
-    return counts
+    return strips, len(closing)
 
 
 @pytest.mark.parametrize(
@@ -460,18 +535,22 @@ def count_strip_work(monkeypatch, spec, ell):
     [(QuotientSpec(0, 1, -3), 29), (QuotientSpec(0, -12, 1), 29), (QuotientSpec(1, 0, -1), 31),
      (QuotientSpec(0, 0, -2), 53)],
 )
-def test_strip_a_tilde_makes_no_product_and_each_zero_at_the_root_divides(
-    monkeypatch, spec, ell
-):
-    counts = count_strip_work(monkeypatch, spec, ell)
-    # the recurrence alone decides each division; every attempt that the
-    # evaluation at the root lets through ends in an exact division
-    assert counts["products"] == 0
-    assert counts["zeros"] == counts["divisions"] > 0
-    # without a root every attempt runs the recurrence, and the same ones divide
+def test_each_strip_gallops_after_a_zero_at_the_root(monkeypatch, spec, ell):
+    strips, _ = count_strip_work(monkeypatch, spec, ell)
+    # no trial runs where the evaluation at the root rules A~ out, and a
+    # strip that divides k times makes at most 2 k.bit_length() + 1 trials
+    assert all(unvetted == 0 for _, _, unvetted in strips)
+    assert all(trials <= 2 * k.bit_length() + 1 for k, trials, _ in strips)
+    # a long fall takes fewer trials than divisions
+    assert any(k > trials for k, trials, _ in strips)
+    # without a root no evaluation runs, every strip tries A~ at least once,
+    # and the same strips divide as often
     monkeypatch.setattr("eiscong.filtration._a_tilde_root", lambda ell: None)
-    fallback = count_strip_work(monkeypatch, spec, ell)
-    assert fallback == {**counts, "zeros": 0}
+    fallback, _ = count_strip_work(monkeypatch, spec, ell)
+    assert [k for k, _, _ in fallback] == [k for k, _, _ in strips]
+    assert all(
+        0 < trials == unvetted <= 2 * k.bit_length() + 1 for k, trials, unvetted in fallback
+    )
 
 
 @pytest.mark.parametrize(
@@ -481,12 +560,13 @@ def test_a_cycle_strips_ell_times_and_closes_in_few_products(monkeypatch, spec, 
     filtrations = tate_cycle(_lift_polynomial(spec, ell)).filtrations
     # the closing step's fall, from iterate ell - 1 back to iterate 1
     k = (filtrations[-1] + ell + 1 - filtrations[0]) // (ell - 1)
-    counts = count_strip_work(monkeypatch, spec, ell)
+    strips, closing_products = count_strip_work(monkeypatch, spec, ell)
     # the base filtration and iterates 1, ..., ell - 1; the closing image is
-    # not stripped but matched against A~^k times iterate 1
-    assert counts["strips"] == ell
+    # not stripped but matched against A~^k times iterate 1, one product by
+    # a cached power A~^(2^i) for each set bit i of k
+    assert len(strips) == ell
     assert k > 1
-    assert 0 < counts["closing products"] <= 2 * k.bit_length() + 1
+    assert closing_products == bin(k).count("1")
 
 
 def test_cycles_without_the_pre_test_give_the_same_profiles(monkeypatch):
