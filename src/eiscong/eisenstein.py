@@ -117,24 +117,55 @@ def quotient_series(spec: QuotientSpec, modulus: int, terms: int) -> TruncatedSe
     return eisenstein_power_product(*spec, modulus, terms)
 
 
+@lru_cache(maxsize=None)
+def _log_derivative(weight: int, terms: int) -> tuple[int, ...]:
+    """theta E_weight / E_weight over Z to the given number of terms.
+
+    With E_weight = sum c(n) q^n and c(0) = 1, the series D with
+    D * E_weight = theta E_weight has D(0) = 0 and
+    D(n) = n c(n) - sum_{0<j<n} c(j) D(n-j).
+    """
+    c = [1, *(WEIGHT_CONSTANTS[weight] * s for s in _sigma_table(weight - 1, terms))]
+    d = [0]
+    for n in range(1, terms):
+        d.append(n * c[n] - sum(map(mul, c[1:n], reversed(d[1:]))))
+    return tuple(d)
+
+
+def quotient_prefix(r: int, s: int, t: int, terms: int) -> tuple[int, ...]:
+    """The exact integer coefficients of E2^r * E4^s * E6^t up to q^(terms-1).
+
+    Exponents may be negative.  The product F has logarithmic derivative
+    theta F / F = b = r D_2 + s D_4 + t D_6, each D_k = theta E_k / E_k
+    (`_log_derivative`), so theta F = F * b gives a(0) = 1 and
+    n a(n) = sum_{j=1..n} b(j) a(n-j).  Every a(n) is an integer, since
+    each E_k has integer coefficients and constant term 1, so every
+    division is exact; an inexact one raises ArithmeticError.  Reduced
+    mod any m, the prefix equals `eisenstein_power_product(r, s, t, m, terms)`.
+    """
+    if terms < 1:
+        raise ValueError("need at least one term")
+    logs = [_log_derivative(k, terms) for k in (2, 4, 6)]
+    b = [r * x + s * y + t * z for x, y, z in zip(*logs)]
+    a = [1]
+    for n in range(1, terms):
+        coeff, inexact = divmod(sum(map(mul, b[1 : n + 1], reversed(a))), n)
+        if inexact:
+            raise ArithmeticError(
+                f"q^{n} coefficient of E2^{r} * E4^{s} * E6^{t} is no integer"
+            )
+        a.append(coeff)
+    return tuple(a)
+
+
 def quotient_q_coefficient(r: int, s: int, t: int) -> int:
-    """Closed form of the q coefficient of E2^r * E4^s * E6^t: r*C_2 + s*C_4 + t*C_6."""
-    return sum(e * c for e, c in zip((r, s, t), WEIGHT_CONSTANTS.values()))
+    """The q coefficient of E2^r * E4^s * E6^t, r*C_2 + s*C_4 + t*C_6: `quotient_prefix`'s a(1)."""
+    return quotient_prefix(r, s, t, 2)[1]
 
 
 def quotient_q2_coefficient(r: int, s: int, t: int) -> int:
-    """Closed form of the q^2 coefficient of E2^r * E4^s * E6^t.
-
-    E_k = 1 + C_k q + C_k (1 + 2^(k-1)) q^2 + ..., since sigma_(k-1)(2)
-    = 1 + 2^(k-1), so log E_k = C_k q + C_k (1 + 2^(k-1) - C_k/2) q^2 + ....
-    The product's logarithm is the sum of e * log E_k over the exponents
-    e in (r, s, t), c1 q + c2 q^2 + ... with c1 the q coefficient, and its
-    exponential has q^2 coefficient c2 + c1^2/2.  Every C_k is even, so
-    both halves, and the result, are exact integers.
-    """
-    pairs = zip((r, s, t), WEIGHT_CONSTANTS.items())
-    c2 = sum(e * c * (1 + 2 ** (k - 1) - c // 2) for e, (k, c) in pairs)
-    return quotient_q_coefficient(r, s, t) ** 2 // 2 + c2
+    """The q^2 coefficient of E2^r * E4^s * E6^t: a(2) of `quotient_prefix`."""
+    return quotient_prefix(r, s, t, 3)[2]
 
 
 def lift_exponents(spec: QuotientSpec, ell: int) -> tuple[int, int, int]:

@@ -1,6 +1,7 @@
 """Exact primality and factorization for the moduli the package works with.
 
-`is_prime` is Miller-Rabin on the twelve prime bases 2, 3, ..., 37.  No
+`is_prime` is Miller-Rabin on the twelve prime bases 2, 3, ..., 37, after
+trial division by them, which alone decides every n below 37^2.  No
 composite below PSI_12 = 318665857834031151167461 is a strong pseudoprime
 to all twelve (Sorenson and Webster, Math. Comp. 86 (2017)), so below that
 bound the answer is a proof; at or above it `is_prime` raises instead of
@@ -24,6 +25,9 @@ def is_prime(n: int) -> bool:
     for p in BASES:
         if n % p == 0:
             return n == p
+    if n < 37 * 37:
+        # a composite below 37^2 has a prime factor of at most 31
+        return True
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
     for a in BASES:

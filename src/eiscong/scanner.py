@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import time
 from collections import namedtuple
@@ -25,6 +24,7 @@ from .eisenstein import (
     admits_lift,
     eisenstein_power_product,
     lift_weight,
+    quotient_prefix,
     quotient_series,
     require_lift,
 )
@@ -112,15 +112,16 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     itself by a unitriangular transform, so a class vanishes through
     any index on one side exactly when it does on the other.
 
-    The quotient is expanded mod ell to `FIRST_WINDOW` terms first, and
-    to `certificate_precision` only when those leave the scan undecided.
-    A nonzero a(n) in both quadratic classes settles "no congruence"
-    on a short prefix; a theta-killed or congruence-carrying prime
-    reads the whole Sturm range.  The report's precision is always
+    The scan reads the first `FIRST_WINDOW` integer coefficients of the
+    quotient (`quotient_prefix`) reduced mod ell, and expands the
+    quotient mod ell to `certificate_precision` only when those leave
+    it undecided.  A nonzero a(n) in both quadratic classes settles "no
+    congruence" on a short prefix; a theta-killed or congruence-carrying
+    prime reads the whole Sturm range.  The report's precision is always
     `certificate_precision`, the window the certificate stands on; the
     log line also gives the window actually read.  This is
     `verify_theorem`'s scan of one prime: the same prefix, report and
-    log line, with the prefix expanded modulo ell alone.
+    log line.
     """
     require_prime(ell, 2)
     return _scan(spec, _shared_prefix(spec, [ell]), ell)[0]
@@ -138,20 +139,22 @@ def _before_scan(spec: QuotientSpec, ell: int) -> tuple:
             certificate_precision(spec, ell))
 
 
-def _shared_prefix(spec: QuotientSpec, primes: list[int]) -> TruncatedSeries | None:
-    # the first FIRST_WINDOW terms of the quotient modulo the product M of the
-    # primes it certifies (a weight); reducing mod ell | M is a ring map and every
-    # constant term is 1, so the reduction equals the expansion mod ell
-    modulus = math.prod(ell for ell in primes if _before_scan(spec, ell)[2] is not None)
-    return quotient_series(spec, modulus, FIRST_WINDOW) if modulus > 1 else None
+def _shared_prefix(spec: QuotientSpec, primes: list[int]) -> tuple[int, ...] | None:
+    # the first FIRST_WINDOW coefficients of the quotient over Z, which serve every
+    # prime: every constant term is 1, so their reduction mod ell equals the
+    # expansion mod ell.  None where no prime is certified (has a weight), so that a
+    # fully cached sweep expands nothing
+    if any(_before_scan(spec, ell)[2] is not None for ell in primes):
+        return quotient_prefix(*spec, FIRST_WINDOW)
+    return None
 
 
 def _scan(
-    spec: QuotientSpec, prefix: TruncatedSeries | None, ell: int
+    spec: QuotientSpec, prefix: tuple[int, ...] | None, ell: int
 ) -> tuple[CongruenceReport, int]:
-    # scan_prime's analysis and log line, from `_before_scan` and FIRST_WINDOW
-    # terms of the quotient modulo a multiple of ell (None where ell is not
-    # certified); returns the report and the terms of the quotient it read
+    # scan_prime's analysis and log line, from `_before_scan` and the quotient's
+    # FIRST_WINDOW integer coefficients (None where ell is not certified); returns
+    # the report and the terms of the quotient it read
     start = time.perf_counter()
     method, residues, weight, precision = _before_scan(spec, ell)
     window = 0
@@ -159,7 +162,7 @@ def _scan(
         # a prefix at least as long as the whole window always decides
         window = min(FIRST_WINDOW, precision)
         try:
-            found = congruence_scan(prefix.change_modulus(ell), ell, weight)
+            found = congruence_scan(TruncatedSeries(ell, prefix), ell, weight)
         except PrecisionError:
             # an undecided prefix: the whole window covers the Sturm range and decides
             window = precision
@@ -334,12 +337,12 @@ def verify_theorem(
 
     Every prime in range gets a full scan_prime analysis, with the same
     report and log line.  Only the first expansion is shared: the sweep
-    expands the quotient once to `FIRST_WINDOW` terms modulo the product
-    of the primes it scans that admit a lift, and each prime reads the
-    reduction mod ell of that prefix, which equals the expansion mod
-    ell.  A prime the prefix leaves undecided is expanded mod ell to its
-    whole certificate window, as in scan_prime.  Parallel workers
-    (`jobs` > 1) receive the same prefix.
+    computes the quotient's first `FIRST_WINDOW` coefficients once over
+    Z (`quotient_prefix`), where some prime it scans admits a lift, and
+    each such prime reads their reduction mod ell, which equals the
+    expansion mod ell.  A prime the prefix leaves undecided is expanded
+    mod ell to its whole certificate window, as in scan_prime.  Parallel
+    workers (`jobs` > 1) receive the same prefix.
 
     Primes above the bound must report no congruence (the identity
     quotient is the stated exception); a congruence there is raised as

@@ -7,11 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
+from eiscong import eisenstein
 from eiscong.eisenstein import (
     QuotientSpec,
     eisenstein_power_product,
     eisenstein_series,
     lift_weight,
+    quotient_prefix,
     quotient_q2_coefficient,
     quotient_q_coefficient,
     quotient_series,
@@ -188,7 +190,8 @@ def test_spec_requires_nonnegative_r():
 
 @pytest.mark.parametrize(
     "r,s,t",
-    [(0, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 3), (5, -4, -2), (0, -12, 1)],
+    [(0, 1, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 3), (5, -4, -2), (0, -12, 1),
+     (-1, 0, 0), (-2, 1, 0), (-3, -5, 2), (-7, 12, -9)],
 )
 def test_low_coefficients_match_closed_forms(r, s, t):
     for m in (10**12, 101, 9973):
@@ -236,6 +239,34 @@ def test_negative_powers_work_modulo_prime_powers():
 def test_extract_progression_of_inverse_e6_mod_27():
     f = eisenstein_power_product(0, 0, -1, 27, 400)
     assert f.extract_progression(2, 3).is_zero()
+
+
+#: a prime, a prime power, the product of the primes 5 to 181 and a wide prime
+PREFIX_MODULI = (10007, 3**20, math.prod(primerange(5, 182)), 10**60 + 7)
+
+
+@pytest.mark.parametrize("m", PREFIX_MODULI)
+def test_quotient_prefix_reduces_to_the_power_product(m):
+    # the integer prefix from the logarithmic derivative against the product
+    # of powers and one inverse mod m, on a seeded box with r < 0 and |s|, |t|
+    # up to 60
+    rng = random.Random(f"prefix:{m}")
+    specs = [(0, 0, 0), (-1, 0, 0), (0, -60, 60), (-5, 60, -60)]
+    specs += [(rng.randint(-6, 6), rng.randint(-60, 60), rng.randint(-60, 60))
+              for _ in range(40)]
+    for r, s, t in specs:
+        prefix = quotient_prefix(r, s, t, 16)
+        assert len(prefix) == 16 and all(type(a) is int for a in prefix)
+        assert TruncatedSeries(m, prefix) == eisenstein_power_product(r, s, t, m, 16), (r, s, t)
+
+
+def test_quotient_prefix_refuses_an_inexact_division(monkeypatch):
+    # with log derivative q, a(1) = 1 and 2 a(2) = b(1) a(1) = 1: no integer
+    monkeypatch.setattr(eisenstein, "_log_derivative", lambda weight, terms: (0, 1, 0))
+    with pytest.raises(ArithmeticError, match="q\\^2 coefficient"):
+        quotient_prefix(1, 0, 0, 3)
+    with pytest.raises(ValueError):
+        quotient_prefix(1, 0, 0, 0)
 
 
 @st.composite

@@ -14,6 +14,11 @@ def test_is_prime_agrees_with_sympy_below_two_hundred_thousand():
     assert [n for n in range(-5, 200_000) if is_prime(n)] == list(primerange(200_000))
 
 
+def test_is_prime_agrees_with_sympy_isprime_below_three_hundred_thousand():
+    # below 37^2 trial division by the bases decides without Miller-Rabin
+    assert all(is_prime(n) == isprime(n) for n in range(300_000))
+
+
 def test_is_prime_agrees_with_sympy_on_random_70_bit_numbers():
     rng = random.Random(70)
     for _ in range(20_000):

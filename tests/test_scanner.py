@@ -1,7 +1,6 @@
 import itertools
 import json
 import logging
-import math
 import random
 import types
 from collections import Counter
@@ -217,20 +216,29 @@ def test_the_certificate_window_is_the_least_that_decides(spec, ell, method, cap
 
 def test_an_undecided_prefix_expands_the_whole_window_once(monkeypatch, caplog):
     # a made-up expansion mod 29 whose nonzero a(n) past n = 0 are a(1), in
-    # the square class, and a(26), in the other: 16 terms leave the
-    # nonsquare class open, and the next expansion is the whole window
+    # the square class, and a(26), in the other: the 16-term prefix leaves the
+    # nonsquare class open, and the next expansion is the whole window mod 29
     spec, ell = QuotientSpec(0, -12, 1), 29
     precision = certificate_precision(spec, ell)
-    requested = []
+    prefixes, requested = [], []
 
-    def synthetic(spec, modulus, terms):
-        requested.append(terms)
-        return TruncatedSeries(modulus, [int(n in (0, 1, 26)) for n in range(terms)])
+    def synthetic(terms):
+        return [int(n in (0, 1, 26)) for n in range(terms)]
 
-    monkeypatch.setattr(scanner, "quotient_series", synthetic)
+    def prefix(r, s, t, terms):
+        prefixes.append(((r, s, t), terms))
+        return tuple(synthetic(terms))
+
+    def window(spec, modulus, terms):
+        requested.append((modulus, terms))
+        return TruncatedSeries(modulus, synthetic(terms))
+
+    monkeypatch.setattr(scanner, "quotient_prefix", prefix)
+    monkeypatch.setattr(scanner, "quotient_series", window)
     with caplog.at_level(logging.INFO, logger="eiscong.scanner"):
         report = scan_prime(spec, ell)
-    assert requested == [16, precision]
+    assert prefixes == [(spec, 16)]
+    assert requested == [(ell, precision)]
     assert report == CongruenceReport(
         spec, ell, METHOD_RIGOROUS, (), weight=lift_weight(spec, ell), precision=precision
     )
@@ -239,19 +247,29 @@ def test_an_undecided_prefix_expands_the_whole_window_once(monkeypatch, caplog):
 
 def test_the_shared_prefix_is_taken_modulo_exactly_the_certified_primes(monkeypatch):
     # E6/E4^12 has a lift from 13 on: the primes 13 to 127 below the bound 129
-    # and the sample 131, 137 and 139 are certified, and 5, 7 and 11 are not
-    requested = []
-    expand = scanner.quotient_series
+    # and the sample 131, 137 and 139 are certified, and 5, 7 and 11 are not.
+    # One 16-term prefix over Z serves them all, and every longer expansion is
+    # modulo one certified prime
+    prefixes, requested = [], []
+    expand, window = scanner.quotient_prefix, scanner.quotient_series
 
-    def recording(spec, modulus, terms):
-        requested.append((modulus, terms))
-        return expand(spec, modulus, terms)
+    def recording_prefix(r, s, t, terms):
+        prefixes.append(((r, s, t), terms))
+        return expand(r, s, t, terms)
 
-    monkeypatch.setattr(scanner, "quotient_series", recording)
-    verify_theorem(QuotientSpec(0, -12, 1))
+    def recording_window(spec, modulus, terms):
+        requested.append(modulus)
+        return window(spec, modulus, terms)
+
+    monkeypatch.setattr(scanner, "quotient_prefix", recording_prefix)
+    monkeypatch.setattr(scanner, "quotient_series", recording_window)
+    spec = QuotientSpec(0, -12, 1)
+    result = verify_theorem(spec)
     certified = [p for p in range(13, 140) if is_prime(p)]
-    assert requested[0] == (math.prod(certified), scanner.FIRST_WINDOW)
-    assert all(modulus in certified for modulus, _ in requested[1:])
+    assert prefixes == [(spec, scanner.FIRST_WINDOW)]
+    assert [rep.ell for rep in result.reports + result.sampled_above
+            if rep.weight is not None] == certified
+    assert requested and all(modulus in certified for modulus in requested)
 
 
 def test_what_a_scan_decides_first_is_asked_only_at_primes(tmp_path, monkeypatch):
@@ -649,8 +667,8 @@ def test_warm_cache_skips_all_series_work(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("scan recomputed despite a warm cache")
 
-    # a sweep scans through _scan, on a prefix from quotient_series
-    for name in ("_scan", "quotient_series"):
+    # a sweep scans through _scan, on a prefix from quotient_prefix
+    for name in ("_scan", "quotient_prefix", "quotient_series"):
         monkeypatch.setattr(scanner, name, boom)
     second = verify_theorem(spec, use_remark=True, sample_above=2, cache=cache)
     assert first.to_records() == second.to_records()

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from collections import Counter
 
@@ -12,6 +11,7 @@ from eiscong.eisenstein import (
     admits_lift,
     eisenstein_series,
     lift_weight,
+    quotient_prefix,
     quotient_series,
     replacement_lift,
 )
@@ -509,8 +509,8 @@ def test_scan_keeps_the_polynomial_guard_on_theta_vanishing(monkeypatch):
 
 def test_a_theta_killed_scan_expands_no_more_than_the_certificate_window(monkeypatch):
     # the theta-killed prime is checked on the lift's polynomial, not on a
-    # longer expansion: each expansion mod a prime stops at its certificate
-    # window, and the sweep's shared prefix at FIRST_WINDOW
+    # longer expansion: each expansion is mod a prime and stops at its
+    # certificate window (the sweep's shared prefix is taken over Z)
     spec = QuotientSpec(0, 1, 1)
     lengths = []
     original = eisenstein.eisenstein_power_product
@@ -525,10 +525,9 @@ def test_a_theta_killed_scan_expands_no_more_than_the_certificate_window(monkeyp
     assert METHOD_THETA_VANISHING in {rep.method for rep in result.reports}
     assert lengths
     for modulus, terms in lengths:
-        if is_prime(modulus):
-            assert terms <= certificate_precision(spec, modulus), (modulus, terms)
-        else:
-            assert terms <= scanner.FIRST_WINDOW, (modulus, terms)
+        assert is_prime(modulus) and terms <= certificate_precision(spec, modulus), (
+            modulus, terms
+        )
 
 
 def test_theta_is_killed_exactly_where_the_lift_polynomial_says():
@@ -738,22 +737,24 @@ def test_a_q_series_cycle_reads_its_polynomial_off_with_no_solve(monkeypatch):
 
 
 def test_primes_without_congruences_expand_sixteen_terms(monkeypatch):
-    expansions = []
+    prefixes, expansions = [], []
+
+    def recording_prefix(r, s, t, terms):
+        prefixes.append(terms)
+        return quotient_prefix(r, s, t, terms)
 
     def recording(spec, modulus, terms):
         expansions.append((modulus, terms))
         return quotient_series(spec, modulus, terms)
 
+    monkeypatch.setattr(scanner, "quotient_prefix", recording_prefix)
     monkeypatch.setattr(scanner, "quotient_series", recording)
     result = scanner.verify_theorem(EXAMPLE)
     reports = result.reports + result.sampled_above
     settled = [r.ell for r in reports if r.method == METHOD_RIGOROUS and not r.residues]
     assert len(settled) > 20
-    # one 16-term expansion modulo the product of every certified prime ...
-    certified = [r.ell for r in reports if r.method != METHOD_BELOW_BOUND]
-    assert [(m, terms) for m, terms in expansions if terms <= 16] == [
-        (math.prod(certified), 16)
-    ]
-    # ... and no longer one for a settled prime
-    longer = [m for m, terms in expansions if terms > 16]
-    assert [ell for ell in settled for m in longer if m % ell == 0] == []
+    # one 16-term prefix over Z for every certified prime ...
+    assert prefixes == [16]
+    assert [(m, terms) for m, terms in expansions if terms <= 16] == []
+    # ... and no longer expansion for a settled prime
+    assert [ell for ell in settled for m, _ in expansions if m % ell == 0] == []
