@@ -112,8 +112,9 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     itself by a unitriangular transform, so a class vanishes through
     any index on one side exactly when it does on the other.
 
-    The scan reads the first `FIRST_WINDOW` integer coefficients of the
-    quotient (`quotient_prefix`) reduced mod ell, and expands the
+    Every call expands the first `FIRST_WINDOW` integer coefficients of
+    the quotient (`quotient_prefix`), which only a prime with a weight
+    reads.  The scan reads them reduced mod ell, and expands the
     quotient mod ell to `certificate_precision` only when those leave
     it undecided.  A nonzero a(n) in both quadratic classes settles "no
     congruence" on a short prefix; a theta-killed or congruence-carrying
@@ -124,7 +125,7 @@ def scan_prime(spec: QuotientSpec, ell: int) -> CongruenceReport:
     log line.
     """
     require_prime(ell, 2)
-    return _scan(spec, _shared_prefix(spec, [ell]), ell)[0]
+    return _scan(spec, quotient_prefix(*spec, FIRST_WINDOW), ell)[0]
 
 
 def _before_scan(spec: QuotientSpec, ell: int) -> tuple:
@@ -139,22 +140,13 @@ def _before_scan(spec: QuotientSpec, ell: int) -> tuple:
             certificate_precision(spec, ell))
 
 
-def _shared_prefix(spec: QuotientSpec, primes: list[int]) -> tuple[int, ...] | None:
-    # the first FIRST_WINDOW coefficients of the quotient over Z, which serve every
-    # prime: every constant term is 1, so their reduction mod ell equals the
-    # expansion mod ell.  None where no prime is certified (has a weight), so that a
-    # fully cached sweep expands nothing
-    if any(_before_scan(spec, ell)[2] is not None for ell in primes):
-        return quotient_prefix(*spec, FIRST_WINDOW)
-    return None
-
-
 def _scan(
-    spec: QuotientSpec, prefix: tuple[int, ...] | None, ell: int
+    spec: QuotientSpec, prefix: tuple[int, ...], ell: int
 ) -> tuple[CongruenceReport, int]:
     # scan_prime's analysis and log line, from `_before_scan` and the quotient's
-    # FIRST_WINDOW integer coefficients (None where ell is not certified); returns
-    # the report and the terms of the quotient it read
+    # first FIRST_WINDOW coefficients over Z, read only where ell is certified (every
+    # constant term is 1, so their reduction mod ell is the expansion mod ell);
+    # returns the report and the terms of the quotient it read
     start = time.perf_counter()
     method, residues, weight, precision = _before_scan(spec, ell)
     window = 0
@@ -338,9 +330,9 @@ def verify_theorem(
     Every prime in range gets a full scan_prime analysis, with the same
     report and log line.  Only the first expansion is shared: the sweep
     computes the quotient's first `FIRST_WINDOW` coefficients once over
-    Z (`quotient_prefix`), where some prime it scans admits a lift, and
-    each such prime reads their reduction mod ell, which equals the
-    expansion mod ell.  A prime the prefix leaves undecided is expanded
+    Z (`quotient_prefix`), whenever it has a prime to scan, and each
+    prime that admits a lift reads their reduction mod ell, which equals
+    the expansion mod ell.  A prime the prefix leaves undecided is expanded
     mod ell to its whole certificate window, as in scan_prime.  Parallel
     workers (`jobs` > 1) receive the same prefix.
 
@@ -367,7 +359,7 @@ def verify_theorem(
     on_file = {} if cache is None else cache.load(spec)
     reports = {ell: on_file[ell] for ell in targets if ell in on_file}
     missing = [ell for ell in targets if ell not in reports]
-    scan = partial(_scan, spec, _shared_prefix(spec, missing))
+    scan = partial(_scan, spec, quotient_prefix(*spec, FIRST_WINDOW) if missing else ())
     if jobs > 1 and len(missing) > 1:
         # imported here, so that a serial sweep never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -3,8 +3,11 @@
 For each quotient, prints the number of primes the sweep reports, its
 bound and the best of N runs of the CPU time (`time.process_time`) of
 `verify_theorem(spec)` with no results cache, after a first untimed
-sweep has filled the per-process caches (the sigma tables, the
-logarithmic derivatives, the lift polynomials).
+sweep has filled the per-process caches: the sigma tables
+(`_sigma_table`), the logarithmic derivatives (`_log_derivative`), the
+Eisenstein series of each window read in full (`eisenstein_series`)
+and, at a prime where theta kills the lift, `compute_a_tilde`,
+`_b_tilde` and `_theta_factors`.
 
     python3 tools/sweep_times.py [--spec R,S,T ...] [--repeat N]
 
