@@ -10,10 +10,13 @@ from eiscong.primes import PSI_12, is_prime, prime_factors, require_prime
 PSI_11 = 3825123056546413051
 
 
+def test_is_prime_agrees_with_sympy_below_two_hundred_thousand():
+    assert [n for n in range(-5, 200_000) if is_prime(n)] == list(primerange(200_000))
+
+
 def test_is_prime_agrees_with_sympy_isprime_below_three_hundred_thousand():
-    # below 37^2 trial division by the bases decides without Miller-Rabin;
-    # no integer below 2 is prime
-    assert all(is_prime(n) == isprime(n) for n in range(-5, 300_000))
+    # below 37^2 trial division by the bases decides without Miller-Rabin
+    assert all(is_prime(n) == isprime(n) for n in range(300_000))
 
 
 def test_is_prime_agrees_with_sympy_on_random_70_bit_numbers():
