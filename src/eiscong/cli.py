@@ -277,7 +277,9 @@ def main(argv=None) -> int:
         return EXIT_COUNTEREXAMPLE
     except BrokenPipeError:
         # a reader that stops early is no failure; devnull takes the flush at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
     except (PrecisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

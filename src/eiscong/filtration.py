@@ -185,7 +185,7 @@ class IsobaricPolynomial(namedtuple("IsobaricPolynomial", "prime weight coeffs")
         u = [0] * (2 * max(f_shift + len(coeffs), d_shift + len(d)))
         u[2 * f_shift : 2 * (f_shift + len(coeffs)) : 2] = coeffs
         u[2 * d_shift + 1 : 2 * (d_shift + len(d)) : 2] = d
-        factors, b12 = _theta_factors(ell)
+        _, factors, b12 = _b_tilde(ell)
         v = list(factors)
         v[1 : 2 * len(b12) : 2] = [weight * x % ell for x in b12]
         length = dense_layout(weight + ell + 1)[2]
@@ -370,20 +370,18 @@ def compute_a_tilde(ell: int) -> IsobaricPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _b_tilde(ell: int) -> tuple[int, ...]:
-    """Dense coefficients of B~ = -D(A~), the weight ell + 1 polynomial of value E2."""
-    return tuple(-x % ell for x in _derivative(ell, ell - 1, compute_a_tilde(ell).coeffs))
+def _b_tilde(ell: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """B~ = -D(A~), the weight ell + 1 polynomial of value E2, and theta's two factors.
 
-
-@lru_cache(maxsize=None)
-def _theta_factors(ell: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """-A~/12 in the even slots of a list whose odd slots take (k/12) B~, and B~/12."""
+    Dense coefficients of B~; -A~/12 in the even slots of a list whose odd
+    slots take (k/12) B~; and B~/12 (`IsobaricPolynomial.theta`).
+    """
     inv12 = pow(12, -1, ell)
-    a = [-x * inv12 % ell for x in compute_a_tilde(ell).coeffs]
-    b = tuple(x * inv12 % ell for x in _b_tilde(ell))
+    a = compute_a_tilde(ell).coeffs
+    b = tuple(-x % ell for x in _derivative(ell, ell - 1, a))
     slots = [0] * (2 * max(len(a), len(b)))
-    slots[: 2 * len(a) : 2] = a
-    return tuple(slots), b
+    slots[: 2 * len(a) : 2] = [-x * inv12 % ell for x in a]
+    return b, tuple(slots), tuple(x * inv12 % ell for x in b)
 
 
 @lru_cache(maxsize=None)
@@ -399,8 +397,9 @@ def _a_tilde_power(ell: int, i: int) -> tuple[int, ...]:
 def _a_tilde_inverse(ell: int, i: int, n: int) -> tuple[int, ...]:
     """The first n coefficients of the power series 1 / g^(2^i), g the x-part of A~.
 
-    n is a power of two, so that one inverse serves every shorter length;
-    each is the square of the one before, from Newton's inverse of g.
+    n is a power of two, so that one inverse serves every request that
+    rounds up to it; each is the square of the one before, from Newton's
+    inverse of g.
     """
     if i:
         half = _a_tilde_inverse(ell, i - 1, n)
@@ -470,7 +469,8 @@ def _lift_polynomial(spec: QuotientSpec, ell: int) -> IsobaricPolynomial:
     _, b0, length = dense_layout(weight)
     coeffs = [0] * length
     coeffs[(c - b0) // 2] = 1
+    b_tilde = _b_tilde(ell)[0]
     for _ in range(a):
-        coeffs = dense_product(ell, weight, coeffs, ell + 1, _b_tilde(ell))
+        coeffs = dense_product(ell, weight, coeffs, ell + 1, b_tilde)
         weight += ell + 1
     return IsobaricPolynomial._of_residues(ell, weight, tuple(coeffs))

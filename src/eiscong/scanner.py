@@ -292,8 +292,8 @@ class ResultsCache:
                 if not _sweep_could_write(record, spec):
                     log.warning("skipping impossible record at %s:%d", path, lineno)
                     continue
-                latest[record["ell"]] = record
-        return {ell: record_to_report(record) for ell, record in latest.items()}
+                latest[record["ell"]] = record_to_report(record)
+        return latest
 
     def get(self, spec: QuotientSpec, ell: int) -> CongruenceReport | None:
         """The latest report on file for one prime, or None."""
@@ -356,8 +356,8 @@ def verify_theorem(
     primes = [p for p in range(5, bound + 1) if is_prime(p)]
     above = list(islice(filter(is_prime, count(bound + 1)), sample_above))
     targets = primes + above
-    on_file = {} if cache is None else cache.load(spec)
-    reports = {ell: on_file[ell] for ell in targets if ell in on_file}
+    # the quotient's reports on file, of primes outside this sweep's targets too
+    reports = {} if cache is None else cache.load(spec)
     missing = [ell for ell in targets if ell not in reports]
     scan = partial(_scan, spec, quotient_prefix(*spec, FIRST_WINDOW) if missing else ())
     if jobs > 1 and len(missing) > 1:
@@ -394,13 +394,9 @@ def verify_theorem(
         finished_at=_utc_now(),
     )
     if cache is not None and missing:
-        # the cached primes are on file already; append only this call's scans
-        cache.put(
-            result._replace(
-                reports=tuple(r for r in result.reports if r.ell not in on_file),
-                sampled_above=tuple(r for r in result.sampled_above if r.ell not in on_file),
-            )
-        )
+        # the cached primes are on file already; append only this call's scans,
+        # which follow the targets' order
+        cache.put(result._replace(reports=tuple(r for r, _ in scans), sampled_above=()))
     log.info(
         "sweep of %s: %d primes from %d to %d, %d cache hits, %d scanned, %.4f s, "
         "%d decided by the shared prefix, %d by the whole window",

@@ -287,6 +287,33 @@ def test_a_closed_output_pipe_is_no_error_for_csv():
     ) == (b"", 0)
 
 
+def test_a_closed_output_pipe_leaves_no_descriptor_open():
+    # five calls in one process, each writing to a pipe whose reader is gone;
+    # the lowest free descriptor shows whether any call left one open
+    code = (
+        "import os, sys\n"
+        "from eiscong.cli import main\n"
+        "def lowest_free():\n"
+        "    fd = os.open(os.devnull, os.O_RDONLY)\n"
+        "    os.close(fd)\n"
+        "    return fd\n"
+        "before, codes = lowest_free(), []\n"
+        "for _ in range(5):\n"
+        "    read, write = os.pipe()\n"
+        "    os.close(read)\n"
+        "    os.dup2(write, 1)\n"
+        "    os.close(write)\n"
+        "    codes.append(main(['expand', '--r', '0', '--s', '1', '--t', '0',\n"
+        "                       '--modulus', '7', '--terms', '20000']))\n"
+        "print(*codes, before, lowest_free(), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=fresh_env(), check=True)
+    *codes, before, after = map(int, proc.stderr.split())
+    assert codes == [0] * 5
+    assert after == before
+
+
 def test_verify_theorem_command(capsys, tmp_path):
     code, out, _ = run(capsys, "--output", "json", "--results-dir", str(tmp_path),
                        "verify-theorem", "--r", "0", "--s", "1", "--t", "1",

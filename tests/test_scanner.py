@@ -689,6 +689,23 @@ def test_warm_rerun_appends_nothing(tmp_path):
     assert [json.loads(line) for line in grown[len(lines):]] == second.to_records()[-1:]
 
 
+def test_a_file_with_primes_beyond_the_targets_serves_a_shorter_sweep(tmp_path):
+    # the theorem-bound sweep of E4*E6 reaches 41 and samples 43, 47 and 53, so
+    # its file holds primes that the remark-bound sweep (to 19) neither reports
+    # nor samples
+    spec = QuotientSpec(0, 1, 1)
+    cache = ResultsCache(tmp_path)
+    verify_theorem(spec, cache=cache)
+    lines = cache.path_for(spec).read_text().splitlines()
+    cached = verify_theorem(spec, use_remark=True, cache=cache)
+    uncached = verify_theorem(spec, use_remark=True)
+    assert cached.reports == uncached.reports
+    assert cached.sampled_above == uncached.sampled_above
+    assert [r.ell for r in cached.reports + cached.sampled_above] == [
+        5, 7, 11, 13, 17, 19, 23, 29, 31]
+    assert cache.path_for(spec).read_text().splitlines() == lines
+
+
 def test_warm_sweep_reads_the_record_file_once(tmp_path, monkeypatch):
     spec = QuotientSpec(0, 1, 1)
     cache = ResultsCache(tmp_path)

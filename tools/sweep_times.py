@@ -6,8 +6,8 @@ bound and the best of N runs of the CPU time (`time.process_time`) of
 sweep has filled the per-process caches: the sigma tables
 (`_sigma_table`), the logarithmic derivatives (`_log_derivative`), the
 Eisenstein series of each window read in full (`eisenstein_series`)
-and, at a prime where theta kills the lift, `compute_a_tilde`,
-`_b_tilde` and `_theta_factors`.
+and, at a prime where theta kills the lift, `compute_a_tilde` and
+`_b_tilde`.
 
     python3 tools/sweep_times.py [--spec R,S,T ...] [--repeat N]
 
